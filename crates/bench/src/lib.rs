@@ -9,7 +9,7 @@
 //! | [`parallel`] | The parallel batched-evaluation engine vs the sequential driver (BENCH_parallel.json) |
 //! | [`store`] | Cold vs warm store-backed tuning sessions (BENCH_store.json) |
 //! | [`verify`] | Verifier-pruned vs unchecked tuning sessions (BENCH_verify.json) |
-//! | [`interp`] | Bytecode VM vs tree interpreter on the corpus kernels (BENCH_interp.json) |
+//! | [`interp`] | Register VM vs tree interpreter on the corpus kernels (BENCH_interp.json) |
 //! | [`corpus`] | Corpus-registry x machine-profile sweep: cold search vs store transfer (BENCH_corpus.json) |
 //! | [`daemon`] | `locusd` service throughput/latency at 1/4/16 concurrent clients, cold vs warm store (BENCH_daemon.json) |
 //! | [`search`] | Search-module shoot-out: evaluations-to-best-known per corpus family (BENCH_search.json) |

@@ -13,21 +13,35 @@
 //! Cost folding happens at lowering: cycle charges inside lexically
 //! vectorized regions are stored *pre-divided* by the vector discount
 //! (the region structure is static, so `cost / w` is a compile-time
-//! constant and the `vector_depth` branch of the other two engines
+//! constant and the `vector_depth` branch of the tree interpreter
 //! disappears from dispatch). The f64 division is performed once with
 //! the same operands the tree interpreter uses per charge, so the
 //! accumulated `cycles` stay bit-identical.
 //!
-//! The bit-identity contract is the same as [`crate::bytecode`]'s:
-//! every fuel tick, cycle charge, cache access and flop increment of
-//! the tree interpreter happens in the same order with the same values,
-//! and errors are raised at the same semantic points with the same
-//! payloads. `tests/vm_equivalence.rs` holds all three engines to it.
+//! The bit-identity contract: every fuel tick, cycle charge, cache
+//! access and flop increment of the tree interpreter happens in the
+//! same order with the same values, and errors are raised at the same
+//! semantic points with the same payloads. `tests/vm_equivalence.rs`
+//! holds the register VM to it against the tree oracle. Three rules
+//! follow from it:
+//!
+//! * every `fuel()` tick of the tree interpreter is accounted by an
+//!   [`RInsn::Fuel`] or by the leading `fuel` field of a fused
+//!   instruction; the lowering merges ticks that are *adjacent* (no
+//!   intervening effect or possible error), which keeps totals and
+//!   error outcomes identical while shrinking dispatch counts;
+//! * cycle charges are never merged — floating-point accumulation is
+//!   order-sensitive, so each `charge()` of the tree interpreter is one
+//!   `+=` here, in the same order (the vector discount may be folded
+//!   into a charge's constant, since that is the same single division);
+//! * statically unresolvable constructs (undefined names, unsupported
+//!   operators) lower to [`RInsn::Throw`], so they only error if the
+//!   enclosing code path actually executes, exactly like the tree.
 
 use locus_srcir::ast::{BinOp, OmpSchedule};
 
-use crate::bytecode::{ArrayCell, ArrayId, Builtin, CastKind, Chain, SlotId, ThrowKind};
 use crate::interp::Value;
+use crate::runtime::{ArrayCell, ArrayId, Builtin, CastKind, Chain, SlotId, ThrowKind};
 
 /// Index into the virtual register frame. Slots (resolved scalars) are
 /// the low registers; temporaries start at the lowering pass's
@@ -101,7 +115,7 @@ pub(crate) enum SubIdx {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DimStep {
     /// Fuel ticked before this subscript is evaluated (the merged
-    /// pending ticks the stack VM would flush before its `IndexDim`).
+    /// pending ticks a stepwise [`RInsn::IdxDim`] would flush first).
     pub(crate) fuel: u32,
     /// The subscript.
     pub(crate) idx: SubIdx,

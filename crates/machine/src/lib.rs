@@ -40,41 +40,36 @@
 
 #![warn(missing_docs)]
 
-pub mod bytecode;
 mod bytecode2;
 pub mod cache;
-mod compile;
 pub mod cost;
 pub mod interp;
-mod peephole;
 pub mod profiles;
 mod regalloc;
-mod vm;
+mod runtime;
 mod vm2;
 
-pub use bytecode::Exe;
 pub use cache::{CacheConfig, CacheHierarchy, CacheStats, Level};
 pub use cost::{CostModel, OmpModel};
 pub use interp::{Interp, Measurement, RuntimeError};
 pub use profiles::{all_profiles, MachineProfile};
+pub use runtime::MAX_ARRAY_ELEMS;
+
+use std::sync::Arc;
 
 use locus_srcir::ast::Program;
 
 /// Which execution engine [`Machine::run`] uses.
 ///
-/// All engines implement the *same* semantics and performance model
+/// Both engines implement the *same* semantics and performance model
 /// and produce bit-identical [`Measurement`]s (asserted by the
 /// differential suite in `tests/vm_equivalence.rs`); they differ only
-/// in wall-clock speed. The tree interpreter remains the reference
-/// oracle, the stack VM a second oracle; the register VM is the
-/// production path.
+/// in wall-clock speed. The tree interpreter is the reference oracle;
+/// the register VM is the production path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Walk the AST directly ([`Interp`]): simple, slow, the oracle.
     Tree,
-    /// Compile to flat bytecode once, then execute in a stack VM:
-    /// scalars become frame slots, array names dense ids, loops jumps.
-    Bytecode,
     /// Compile to register-based three-address code and run it in a
     /// direct-threaded VM: operands are pre-decoded virtual registers,
     /// per-iteration cost constants (vector discounts, charge folding)
@@ -110,8 +105,8 @@ pub struct MachineConfig {
     pub auto_vectorize: bool,
     /// Execution engine (defaults to the register VM). Deliberately
     /// *excluded* from [`MachineConfig::digest`]: the engines are
-    /// bit-identical, so stored measurements replay across any of them
-    /// and persistent-store keys stay stable.
+    /// bit-identical, so stored measurements replay across either of
+    /// them and persistent-store keys stay stable.
     pub engine: ExecEngine,
 }
 
@@ -177,7 +172,7 @@ impl MachineConfig {
     /// the digest is exact), the fuel limit and the auto-vectorizer flag.
     /// The [`ExecEngine`] is deliberately not part of the digest — the
     /// engines produce bit-identical measurements, so records written
-    /// under one engine stay valid under any other.
+    /// under one engine stay valid under the other.
     ///
     /// The persistent tuning store keys records by this digest: a stored
     /// measurement is only replayed onto a machine that would reproduce
@@ -259,16 +254,10 @@ impl Machine {
                 let mut interp = Interp::new(program, &self.config)?;
                 interp.run(entry)
             }
-            ExecEngine::Bytecode => {
+            ExecEngine::RegisterVm => {
                 // Validate the cache geometry *before* compiling so
                 // configuration errors take precedence over program
                 // errors, matching `Interp::new`'s order.
-                let cache = cache::CacheHierarchy::new(&self.config.cache)
-                    .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = compile::compile(program, &self.config, entry)?;
-                vm::run(&exe, &self.config, cache)
-            }
-            ExecEngine::RegisterVm => {
                 let cache = cache::CacheHierarchy::new(&self.config.cache)
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
                 let exe = regalloc::compile2(program, &self.config, entry)?;
@@ -298,7 +287,7 @@ impl Machine {
     }
 
     /// Like [`Machine::run`], but emits `machine`-category spans into
-    /// `tracer` around each internal stage (bytecode compilation and VM
+    /// `tracer` around each internal stage (register lowering and VM
     /// execution, or tree interpretation). With a disabled tracer this
     /// is exactly `run` — the span guards compile to no-ops — so the
     /// traced and untraced paths cannot diverge.
@@ -314,16 +303,6 @@ impl Machine {
                 let mut interp = Interp::new(program, &self.config)?;
                 interp.run(entry)
             }
-            ExecEngine::Bytecode => {
-                let cache = cache::CacheHierarchy::new(&self.config.cache)
-                    .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = {
-                    let _span = tracer.span("machine", "compile-bytecode");
-                    compile::compile(program, &self.config, entry)?
-                };
-                let _span = tracer.span("machine", "vm-measure");
-                vm::run(&exe, &self.config, cache)
-            }
             ExecEngine::RegisterVm => {
                 let cache = cache::CacheHierarchy::new(&self.config.cache)
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
@@ -336,14 +315,6 @@ impl Machine {
             }
         }
     }
-}
-
-/// Lowered code for one (variant, engine, compile-parameter) point,
-/// memoized inside a [`CompiledVariant`].
-#[derive(Clone)]
-enum CompiledExe {
-    Stack(std::sync::Arc<Exe>),
-    Reg(std::sync::Arc<bytecode2::Exe2>),
 }
 
 /// A program variant held ready for *batched evaluation*: compile once,
@@ -367,7 +338,7 @@ enum CompiledExe {
 pub struct CompiledVariant {
     program: Program,
     entry: String,
-    memo: std::sync::Mutex<Vec<(u64, ExecEngine, CompiledExe)>>,
+    memo: std::sync::Mutex<Vec<(u64, Arc<bytecode2::Exe2>)>>,
 }
 
 /// FNV-1a digest of the configuration fields that influence *lowering*
@@ -418,7 +389,7 @@ impl CompiledVariant {
     }
 
     /// Measures the variant under `config`, compiling at most once per
-    /// distinct `compile_key` × engine. Exactly equivalent to
+    /// distinct `compile_key`. Exactly equivalent to
     /// `Machine::new(config.clone()).run(self.program(), self.entry())`.
     pub fn run(&self, config: &MachineConfig) -> Result<Measurement, RuntimeError> {
         self.run_traced(config, &locus_trace::Tracer::disabled())
@@ -448,8 +419,8 @@ impl CompiledVariant {
         let exe = {
             let memo = self.memo.lock().expect("compile memo poisoned");
             memo.iter()
-                .find(|(k, eng, _)| *k == key && *eng == config.engine)
-                .map(|(_, _, exe)| exe.clone())
+                .find(|(k, _)| *k == key)
+                .map(|(_, exe)| exe.clone())
         };
         let exe = match exe {
             Some(exe) => exe,
@@ -457,40 +428,19 @@ impl CompiledVariant {
                 // Compile outside the lock; failures are not cached
                 // (they are cheap to reproduce and keep the memo to
                 // successful entries only).
-                let compiled = match config.engine {
-                    ExecEngine::Bytecode => {
-                        let _span = tracer.span("machine", "compile-bytecode");
-                        CompiledExe::Stack(std::sync::Arc::new(compile::compile(
-                            &self.program,
-                            config,
-                            &self.entry,
-                        )?))
-                    }
-                    ExecEngine::RegisterVm => {
-                        let _span = tracer.span("machine", "compile-regvm");
-                        CompiledExe::Reg(std::sync::Arc::new(regalloc::compile2(
-                            &self.program,
-                            config,
-                            &self.entry,
-                        )?))
-                    }
-                    ExecEngine::Tree => unreachable!("handled above"),
+                let compiled = {
+                    let _span = tracer.span("machine", "compile-regvm");
+                    Arc::new(regalloc::compile2(&self.program, config, &self.entry)?)
                 };
                 let mut memo = self.memo.lock().expect("compile memo poisoned");
-                if !memo
-                    .iter()
-                    .any(|(k, eng, _)| *k == key && *eng == config.engine)
-                {
-                    memo.push((key, config.engine, compiled.clone()));
+                if !memo.iter().any(|(k, _)| *k == key) {
+                    memo.push((key, compiled.clone()));
                 }
                 compiled
             }
         };
         let _span = tracer.span("machine", "vm-measure");
-        match &exe {
-            CompiledExe::Stack(exe) => vm::run(exe, config, cache),
-            CompiledExe::Reg(exe) => vm2::run(exe, config, cache),
-        }
+        vm2::run(&exe, config, cache)
     }
 }
 

@@ -1,22 +1,42 @@
 //! One-pass lowering from the mini-C AST to register bytecode
 //! ([`crate::bytecode2`]).
 //!
-//! Mirrors [`crate::compile`] construct by construct — same fuel ticks,
-//! same charge order, same error points — but targets a virtual
-//! register frame instead of an operand stack. Scalars resolve to the
-//! low registers (slots), expression temporaries are allocated above a
+//! Mirrors the tree interpreter ([`crate::interp`]) construct by
+//! construct — same fuel ticks, same charge order, same error points
+//! (the rules are in the [`crate::bytecode2`] module docs) — but
+//! targets a virtual register frame. Scalars resolve to the low
+//! registers (slots), expression temporaries are allocated above a
 //! pre-scanned slot bound and reset per statement, and operands are
 //! pre-decoded ([`Opnd`]) so the executor never touches a stack.
+//! Global setup (constant initializers, global array allocation) is
+//! evaluated at lowering time into the initial machine image, exactly
+//! as `Interp::new` does — including its error cases, which surface as
+//! lowering errors because the tree raises them before execution
+//! starts.
 //!
-//! Fusion happens here, at lowering time (the stack VM fuses in a
-//! separate peephole pass): whole subscript chains with
+//! Fuel merging: pending ticks may only drift across instructions that
+//! cannot raise a different error first and cannot be jumped over or
+//! to, because the tree's fuel check can fire *between* any two
+//! operations. Jumps, branches, throws, array checks, allocations,
+//! dynamic scalar resolution and `/`/`%` (which can divide by zero)
+//! therefore flush them first, and every jump target flushes too, so a
+//! tick is never skipped or double-counted by a jump landing there.
+//!
+//! Scalar scoping: the tree keeps one map entry per name and scope, so
+//! an unconditional redeclaration *replaces* the binding, while a bare
+//! declaration in branch position (`if (c) int x;`) binds only when the
+//! branch runs. Such conditional bindings get a flag slot and resolve
+//! through a runtime [`Chain`]; leaving their scope clears the flags so
+//! a re-executed region (the next loop iteration) starts unbound.
+//!
+//! Fusion happens here, at lowering time: whole subscript chains with
 //! side-effect-free subscripts become one [`RInsn::Nav`]; a loop's
 //! `i < N` condition becomes [`RInsn::CmpBr`] carrying the merged fuel
 //! and the fall-through iteration charge; a loop's `i += 1` step plus
 //! back edge becomes [`RInsn::StepJump`]. Cycle charges inside
 //! lexically vectorized regions are pre-divided by the vector discount
-//! (see [`Compiler2::eff`]) — the same `cost / w` division the other
-//! engines perform per charge, done once.
+//! (see [`Compiler2::eff`]) — the same `cost / w` division the tree
+//! interpreter performs per charge, done once.
 //!
 //! Aliasing discipline: an operand may be a *slot* register, which a
 //! later-evaluated subexpression could mutate through an assignment.
@@ -30,19 +50,17 @@ use std::collections::{HashMap, HashSet};
 
 use locus_srcir::ast::{BinOp, Expr, Item, Pragma, Program, Stmt, StmtKind, Type, UnOp};
 
-use crate::bytecode::{
-    advance_base, array_init_data, ArrayCell, ArrayId, Builtin, CastKind, Chain, SlotId, ThrowKind,
-};
 use crate::bytecode2::{
     AllocDesc, DimStep, Exe2, HotLoopDesc, NavDesc, Opnd, RInsn, RTail, RegId, SubIdx, MAX_NAV_DIMS,
 };
 use crate::interp::{apply_bin, collect_auto_vectorizable, RuntimeError, Value};
+use crate::runtime::{
+    advance_base, array_init_data, ArrayCell, ArrayId, Builtin, CastKind, Chain, SlotId, ThrowKind,
+};
 use crate::MachineConfig;
 
 /// Lowers `program` for running `entry`, mirroring the setup work and
-/// setup-time errors of `Interp::new` + `Interp::run` (and of
-/// [`crate::compile`]'s `compile`, which this pass shadows insn for
-/// insn in fuel/charge/error order).
+/// setup-time errors of `Interp::new` + `Interp::run`.
 pub(crate) fn compile2(
     program: &Program,
     config: &MachineConfig,
@@ -196,7 +214,8 @@ struct Compiler2<'p> {
     /// Lexical vectorized-loop nesting depth at the emission point.
     vec_depth: usize,
     code: Vec<RInsn>,
-    /// Fuel ticks not yet materialized (see [`crate::compile`]).
+    /// Fuel ticks not yet materialized: adjacent ticks merge into one
+    /// `RInsn::Fuel`, flushed before anything that can error or branch.
     fuel_pending: u32,
     scopes: Vec<HashMap<String, Vec<Binding>>>,
     n_slots: u32,
@@ -277,7 +296,7 @@ impl<'p> Compiler2<'p> {
 
     /// The effective (possibly vector-discounted) form of a raw charge.
     /// The discount region is lexical, so this is a compile-time fold of
-    /// the `vector_depth > 0` branch the other engines take per charge —
+    /// the `vector_depth > 0` branch the tree takes per charge —
     /// the same single f64 division, so the accumulated cycles match
     /// bit for bit.
     fn eff(&self, cost: f64) -> f64 {
@@ -290,9 +309,9 @@ impl<'p> Compiler2<'p> {
 
     // ---- emission -------------------------------------------------------
 
-    /// Whether pending fuel must materialize before `insn` — same rule
-    /// as the stack compiler: a tick may only drift across instructions
-    /// that cannot raise a different error first and cannot be jumped
+    /// Whether pending fuel must materialize before `insn` (see the
+    /// module docs): a tick may only drift across instructions that
+    /// cannot raise a different error first and cannot be jumped
     /// over/to. `CmpBr`/`StepJump`/`Nav` never appear here: they fold
     /// the pending ticks into their own leading `fuel` field.
     fn needs_fuel_flush(insn: &RInsn) -> bool {
@@ -343,7 +362,8 @@ impl<'p> Compiler2<'p> {
         std::mem::take(&mut self.fuel_pending)
     }
 
-    /// Current position as a jump target (flushes fuel).
+    /// Current position as a jump target (flushes fuel: a tick must not
+    /// be skipped or double-counted by a jump landing here).
     fn here(&mut self) -> u32 {
         self.flush_fuel();
         self.code.len() as u32
@@ -427,9 +447,15 @@ impl<'p> Compiler2<'p> {
         s
     }
 
-    /// Binds a scalar declaration (see [`crate::compile`]).
+    /// Binds a scalar declaration. `conditional` marks a bare decl in
+    /// branch position (execution not guaranteed within its scope).
+    /// Returns the value slot and, for fresh conditional bindings, the
+    /// flag slot the declaration must set.
     fn bind_scalar(&mut self, name: &str, conditional: bool) -> (SlotId, Option<SlotId>) {
         if conditional {
+            // A same-scope unconditional binding is *overwritten* by the
+            // tree (one map entry per scope): reuse its slot, keeping
+            // the redeclaration conditional for free.
             if let Some(vec) = self.scopes.last().expect("scope").get(name) {
                 if let Some(last) = vec.last() {
                     if last.flag.is_none() {
@@ -539,7 +565,7 @@ impl<'p> Compiler2<'p> {
                 }
                 dim_sizes.push(v as usize);
             }
-            let len = crate::bytecode::checked_alloc_len(name, &dim_sizes)?;
+            let len = crate::runtime::checked_alloc_len(name, &dim_sizes)?;
             let id = self.array_id(name);
             let is_float = ty.is_float();
             let base = self.next_base;
@@ -725,7 +751,7 @@ impl<'p> Compiler2<'p> {
 
         self.push_scope();
         // Entry charge and init run at the *outer* vector depth (the
-        // stack compiler emits them before VecEnter).
+        // tree charges them before entering the vectorized region).
         let entry = self.eff(self.k.loop_entry);
         self.emit(RInsn::Charge(entry));
         if let Some(init) = &f.init {

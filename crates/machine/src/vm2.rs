@@ -4,23 +4,34 @@
 //! cache, OpenMP and vectorizer model of the tree interpreter: every
 //! fuel tick, cycle charge, cache access and flop increment happens in
 //! the same order with the same values, so `Measurement`s are
-//! bit-identical across all three engines (the f64 `cycles`
+//! bit-identical to the tree interpreter's (the f64 `cycles`
 //! accumulator is sensitive to addition order, so charges are never
 //! merged — only pre-divided by the lexical vector discount at
 //! lowering, which removes the `vector_depth` branch from this loop
-//! entirely). `tests/vm_equivalence.rs` holds the engines to the
-//! contract, with the tree interpreter and the stack VM as oracles.
+//! entirely). `tests/vm_equivalence.rs` holds the VM to the contract,
+//! with the tree interpreter as the oracle.
+//!
+//! OpenMP model: `ParEnter` pushes a parallel context, active only
+//! when no enclosing region is already parallel — pragma'd loops nested
+//! inside a parallel region run serialized, as in the tree. An active
+//! context timestamps each iteration (`IterStart`/`IterEnd`) and, at
+//! `ParExit`, replaces the sequentially accumulated body time with the
+//! scheduled makespan. An early `return` (`Halt`) unwinds open contexts
+//! innermost-first, applying each makespan exactly as the tree's
+//! recursive `exec_for` unwinding does.
 
 use locus_srcir::ast::{BinOp, OmpSchedule};
 
-use crate::bytecode::{advance_base, array_init_data, ArrayCell, Builtin, CastKind, ThrowKind};
 use crate::bytecode2::{Exe2, HotLoopDesc, NavDesc, Opnd, RInsn, RTail, SubIdx};
 use crate::cache::CacheHierarchy;
 use crate::cost::OmpModel;
 use crate::interp::{apply_bin, num_binop, Measurement, RuntimeError, Value};
+use crate::runtime::{advance_base, array_init_data, ArrayCell, Builtin, CastKind, ThrowKind};
 use crate::MachineConfig;
 
-/// One `omp parallel for` region in flight (see [`crate::vm`]).
+/// One `omp parallel for` region in flight. Inactive contexts model
+/// pragma'd loops nested inside an already-parallel region, which the
+/// tree serializes.
 struct ParCtx {
     active: bool,
     schedule: Option<OmpSchedule>,
@@ -522,7 +533,7 @@ impl Vm2<'_> {
                         .iter()
                         .map(|&o| self.val(o).as_i64() as usize)
                         .collect();
-                    let len = crate::bytecode::checked_alloc_len(
+                    let len = crate::runtime::checked_alloc_len(
                         &exe.array_names[desc.id as usize],
                         &dim_sizes,
                     )?;

@@ -7,55 +7,20 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The store round-trip named explicitly: write, drop, reopen, warm-start
-# to the identical best point with zero re-measurements.
-cargo test -q --offline --test store_persistence
-# Verifier-pruned search named explicitly: racy points are refused before
-# the machine ever simulates them, bit-identically to the sequential run.
-cargo test -q --offline --test verify_pruning
-# Engine differential suite named explicitly: the bytecode VM must return
-# bit-identical measurements to the tree interpreter on the whole corpus.
-cargo test -q --offline --test vm_equivalence
-# Deterministic fuzz suite (pinned seeds): parse(print(ast)) is a fixpoint
-# for randomly generated mini-C programs, pragmas and omp clauses included.
-cargo test -q --offline --test srcir_fuzz
-# Legality-vs-dependence differential: no transform may be declared legal
-# that a reported dependence forbids — now swept over the whole corpus
-# registry, triangular PolyBench entries included — plus the one-sided
-# precision invariant (exact refusals ⊆ conservative refusals) and
-# checksum-identical execution of every newly-legal variant.
-cargo test -q --offline --test legality_vs_deps
-# Fourier–Motzkin property suite (pinned seeds): the engine's 3-valued
-# feasibility verdict against brute-force enumeration over boxed and
-# triangular integer domains, and decidedness on unimodular systems.
-cargo test -q --offline --test polyhedron_props
-# Corpus registry conformance: every entry round-trips the printer,
-# prepares into a non-empty space, runs on every machine profile, and
-# restructuring a non-rectangular region is refused or checksum-preserving.
-cargo test -q --offline --test corpus_conformance
-# Tracing layer: golden locus-report output, observation-only invariants,
-# and counter accounting (proposed == memo + store + fresh + pruned).
-cargo test -q --offline --test report_golden
-cargo test -q --offline --test parallel_determinism
-# Search-module conformance: every module passes the shared trait suite
-# (per-seed determinism, batch ≡ repeated propose, seeded priors and
-# refused points never re-proposed, NaN robustness, tiny-space
-# termination) plus the trace-sampler model properties and pinned fit.
-cargo test -q --offline --test search_conformance
-cargo test -q --offline --test trace_sampler_props
-# Tuning service: N concurrent daemon clients bit-identical to direct
-# library calls, a poisoned request isolated by the supervisor, and the
-# wire protocol surviving seeded fuzz without ever dropping a reply.
-cargo test -q --offline --test daemon_service
-cargo test -q --offline --test daemon_protocol
+# The workspace run covers every named suite: the store round-trip and
+# warm start, verifier-pruned search, the tree-vs-register-VM engine
+# differential, the mini-C parse/print fuzz, legality vs dependences,
+# the Fourier-Motzkin properties, corpus conformance, the report
+# goldens, parallel determinism, search-module conformance and the
+# tuning service and its wire protocol.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Engine bench smoke in check mode: refuses to pass unless every kernel
-# is bit-identical across tree, stack VM, register VM *and* the batched
-# register path, the register VM clears its speedup floors (7x geomean
-# batched, 6x sequential), the stack VM holds its historical 5x floor,
-# and the disabled-tracer run_traced path stays under 1% overhead.
+# is bit-identical across the tree interpreter, the register VM *and*
+# the batched register path, the register VM clears its speedup floors
+# (7x geomean batched, 6x sequential), and the disabled-tracer
+# run_traced path stays under 1% overhead.
 ./target/release/bench_interp /tmp/locus_bench_interp.json --check
 
 # Cross-machine corpus sweep smoke: two entries over two profiles;

@@ -674,11 +674,7 @@ fn newly_legal_variants_execute_checksum_identically() {
             let oracle = Machine::new(config.clone().with_engine(ExecEngine::Tree))
                 .run(&entry.program, "kernel")
                 .unwrap_or_else(|e| panic!("{}: oracle failed: {e:?}", entry.name));
-            for engine in [
-                ExecEngine::Tree,
-                ExecEngine::Bytecode,
-                ExecEngine::RegisterVm,
-            ] {
+            for engine in [ExecEngine::Tree, ExecEngine::RegisterVm] {
                 let m = Machine::new(config.clone().with_engine(engine))
                     .run(&variant, "kernel")
                     .unwrap_or_else(|e| {

@@ -1,6 +1,6 @@
-//! Differential suite for the three execution engines: the tree
-//! interpreter (the reference oracle), the stack-bytecode VM (a second
-//! oracle) and the register VM (the production path) must return
+//! Differential suite for the two execution engines: the tree
+//! interpreter (the reference oracle) and the register VM (the
+//! production path) must return
 //! *bit-identical* [`Measurement`]s — cycles compared by f64 bit
 //! pattern, not approximately — and identical [`RuntimeError`]s,
 //! across the corpus, transformed variants, and every error path.
@@ -24,27 +24,21 @@ use locus::srcir::region::{extract_region, find_regions, replace_region};
 use locus::transform;
 use locus::transform::selector::LoopSel;
 
-/// The compiled engines, each checked against the tree oracle.
-const COMPILED_ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::RegisterVm];
-
-/// Runs `program` on all three engines under `config` and asserts the
+/// Runs `program` on both engines under `config` and asserts the
 /// results are bit-identical: either the same [`Measurement`] field for
 /// field (floats by bit pattern) or the same [`RuntimeError`].
 fn assert_engines_agree(label: &str, config: &MachineConfig, program: &Program) {
     let tree = Machine::new(config.clone().with_engine(ExecEngine::Tree)).run(program, "kernel");
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(config.clone().with_engine(engine)).run(program, "kernel");
-        match (&tree, &vm) {
-            (Ok(t), Ok(v)) => {
-                assert_measurements_identical(&format!("{label}/{engine:?}"), program, t, v)
-            }
-            (tree, vm) => assert_eq!(
-                tree,
-                vm,
-                "{label}: tree and {engine:?} disagree on outcome\n{}",
-                locus::srcir::print_program(program)
-            ),
-        }
+    let vm =
+        Machine::new(config.clone().with_engine(ExecEngine::RegisterVm)).run(program, "kernel");
+    match (&tree, &vm) {
+        (Ok(t), Ok(v)) => assert_measurements_identical(label, program, t, v),
+        (tree, vm) => assert_eq!(
+            tree,
+            vm,
+            "{label}: tree and register VM disagree on outcome\n{}",
+            locus::srcir::print_program(program)
+        ),
     }
 }
 
@@ -500,13 +494,12 @@ fn runtime_errors_are_identical() {
         let tree =
             Machine::new(config.clone().with_engine(ExecEngine::Tree)).run(&program, "kernel");
         assert!(tree.is_err(), "{label}: tree unexpectedly succeeded");
-        for engine in COMPILED_ENGINES {
-            let vm = Machine::new(config.clone().with_engine(engine)).run(&program, "kernel");
-            assert_eq!(
-                tree, vm,
-                "{label}: tree and {engine:?} disagree on the error"
-            );
-        }
+        let vm = Machine::new(config.clone().with_engine(ExecEngine::RegisterVm))
+            .run(&program, "kernel");
+        assert_eq!(
+            tree, vm,
+            "{label}: tree and register VM disagree on the error"
+        );
     }
 
     // Fuel exhaustion: same budget, same tick sequence, same error.
@@ -521,10 +514,8 @@ fn runtime_errors_are_identical() {
     );
     let tree = Machine::new(tiny.clone().with_engine(ExecEngine::Tree)).run(&runaway, "kernel");
     assert_eq!(tree, Err(RuntimeError::FuelExhausted));
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(tiny.clone().with_engine(engine)).run(&runaway, "kernel");
-        assert_eq!(tree, vm, "fuel exhaustion differs on {engine:?}");
-    }
+    let vm = Machine::new(tiny.clone().with_engine(ExecEngine::RegisterVm)).run(&runaway, "kernel");
+    assert_eq!(tree, vm, "fuel exhaustion differs on the register VM");
 
     // A missing entry point and a bad entry signature are pre-execution
     // errors; they must match too.
@@ -532,11 +523,9 @@ fn runtime_errors_are_identical() {
     let tree = Machine::new(MachineConfig::scaled_small().with_engine(ExecEngine::Tree))
         .run(&no_entry, "kernel");
     assert!(tree.is_err());
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(MachineConfig::scaled_small().with_engine(engine))
-            .run(&no_entry, "kernel");
-        assert_eq!(tree, vm, "missing entry differs on {engine:?}");
-    }
+    let vm = Machine::new(MachineConfig::scaled_small().with_engine(ExecEngine::RegisterVm))
+        .run(&no_entry, "kernel");
+    assert_eq!(tree, vm, "missing entry differs on the register VM");
 }
 
 /// The one construct where static slot resolution is insufficient: a
@@ -644,10 +633,9 @@ fn invalid_cache_geometry_matches() {
         matches!(tree, Err(RuntimeError::InvalidConfig(_))),
         "expected InvalidConfig, got {tree:?}"
     );
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(config.clone().with_engine(engine)).run(&program, "kernel");
-        assert_eq!(tree, vm, "invalid-config error differs on {engine:?}");
-    }
+    let vm =
+        Machine::new(config.clone().with_engine(ExecEngine::RegisterVm)).run(&program, "kernel");
+    assert_eq!(tree, vm, "invalid-config error differs on the register VM");
 }
 
 /// Batched evaluation must be indistinguishable from per-variant
@@ -663,11 +651,7 @@ fn batched_evaluation_matches_sequential() {
     for entry in corpus::all_programs() {
         let variant = CompiledVariant::new(entry.program.clone(), "kernel");
         for profile in &profiles {
-            for engine in [
-                ExecEngine::Tree,
-                ExecEngine::Bytecode,
-                ExecEngine::RegisterVm,
-            ] {
+            for engine in [ExecEngine::Tree, ExecEngine::RegisterVm] {
                 let config = profile.config.clone().with_engine(engine);
                 let batched = variant.run(&config);
                 let sequential = Machine::new(config).run(&entry.program, "kernel");
