@@ -1,6 +1,7 @@
-//! Benchmarks `tune_parallel` (batched evaluation + shared memo cache)
-//! against the sequential `tune` on the Fig. 7 DGEMM problem and writes
-//! the result to `BENCH_parallel.json`.
+//! Benchmarks `tune_parallel` (batched evaluation over a memo cache; the
+//! session row passes one caller-owned cache to every run) against the
+//! sequential `tune` on the Fig. 7 DGEMM problem and writes the result
+//! to `BENCH_parallel.json`.
 //!
 //! Usage: `cargo run --release -p locus-bench --bin bench_parallel
 //! [output.json]` (threads via `LOCUS_THREADS`, default 8).

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use locus_core::{LocusSystem, MemoStats, TuneResult};
+use locus_core::{LocusSystem, MemoStats, TuneRequest, TuneResult};
 use locus_corpus::dgemm_program;
 use locus_search::{ExhaustiveSearch, RandomSearch, SearchModule};
 
@@ -69,8 +69,13 @@ where
 
     let mut search = make();
     let start = Instant::now();
-    let (parallel, stats) = system
-        .tune_parallel_with_cache(&source, &locus, search.as_mut(), budget, threads)
+    let (parallel, report) = system
+        .tune_parallel(
+            &source,
+            &locus,
+            search.as_mut(),
+            TuneRequest::new(budget, threads),
+        )
         .expect("parallel tuning runs");
     let parallel_s = start.elapsed().as_secs_f64();
 
@@ -83,15 +88,15 @@ where
         parallel_s,
         speedup: sequential_s / parallel_s.max(1e-12),
         evaluations: parallel.outcome.evaluations,
-        stats,
+        stats: report.memo,
         identical_best: best_key(&sequential) == best_key(&parallel),
     }
 }
 
 /// A Fig. 6-style tuning *session*: several searches over the same
 /// source and machine, back to back. Sequential `tune` starts every run
-/// from scratch; `tune_parallel_shared` amortizes the whole session
-/// through one workspace cache, so later runs mostly replay cached
+/// from scratch; `tune_parallel` with one caller-owned cache amortizes
+/// the whole session, so later runs mostly replay cached
 /// measurements — the OpenTuner-memoization effect of Sec. IV-B.
 fn compare_session(threads: usize) -> ParallelRow {
     let source = dgemm_program(8);
@@ -133,8 +138,16 @@ fn compare_session(threads: usize) -> ParallelRow {
     for (budget, make) in &runs {
         let mut search = make();
         let start = Instant::now();
-        let result = system
-            .tune_parallel_shared(&source, &locus, search.as_mut(), *budget, threads, &cache)
+        let (result, _) = system
+            .tune_parallel(
+                &source,
+                &locus,
+                search.as_mut(),
+                TuneRequest {
+                    cache: Some(&cache),
+                    ..TuneRequest::new(*budget, threads)
+                },
+            )
             .expect("parallel session run");
         parallel_s += start.elapsed().as_secs_f64();
         let best = best_key(&result);

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use locus_core::{LocusSystem, MemoCache};
+use locus_core::{LocusSystem, MemoCache, TuneRequest};
 use locus_corpus::{all_programs, CorpusEntry};
 use locus_search::{
     AnnealTuner, BanditTuner, MctsTuner, Member, PortfolioSearch, SearchModule, TraceSampler,
@@ -121,14 +121,15 @@ pub fn run_entries(entries: &[CorpusEntry], budget: usize, threads: usize) -> Ve
         let mut runs = Vec::new();
         for module in MODULES {
             let mut search = make_module(module);
-            let result = system
-                .tune_parallel_shared(
+            let (result, _) = system
+                .tune_parallel(
                     &entry.program,
                     &locus,
                     search.as_mut(),
-                    budget,
-                    threads,
-                    &cache,
+                    TuneRequest {
+                        cache: Some(&cache),
+                        ..TuneRequest::new(budget, threads)
+                    },
                 )
                 .unwrap_or_else(|e| panic!("{}/{module}: tuning failed: {e}", entry.name));
             runs.push((module, result));

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use locus_core::{LocusSystem, TuneReport, TuneResult};
+use locus_core::{LocusSystem, StoreHandle, TuneReport, TuneRequest, TuneResult};
 use locus_corpus::dgemm_program;
 use locus_search::{ExhaustiveSearch, SearchModule};
 use locus_store::TuningStore;
@@ -63,7 +63,15 @@ fn session(
     let mut store = TuningStore::open(store_path).expect("open tuning store");
     let start = Instant::now();
     let (result, report) = system
-        .tune_parallel_with_store(&source, &locus, search, budget, threads, &mut store)
+        .tune_parallel(
+            &source,
+            &locus,
+            search,
+            TuneRequest {
+                store: Some(StoreHandle::Single(&mut store)),
+                ..TuneRequest::new(budget, threads)
+            },
+        )
         .expect("store-backed tuning runs");
     (result, report, start.elapsed().as_secs_f64())
 }

@@ -23,7 +23,7 @@ use locus_store::TuningStore;
 
 use crate::report::TuneReport;
 use crate::suggest::suggest_with_store;
-use crate::system::{ApplyError, LocusSystem, TuneResult};
+use crate::system::{ApplyError, LocusSystem, StoreHandle, TuneRequest, TuneResult};
 
 /// The result of tuning on one machine profile.
 #[derive(Debug, Clone)]
@@ -76,15 +76,16 @@ pub fn tune_across_machines(
     for profile in profiles {
         let mut system = template.clone();
         system.machine = Machine::new(profile.config.clone());
-        system.set_baseline_variant(Arc::clone(&baseline));
         let mut search = make_search(profile);
-        let (result, report) = system.tune_parallel_with_store(
+        let (result, report) = system.tune_parallel(
             source,
             locus,
             search.as_mut(),
-            budget,
-            threads,
-            store,
+            TuneRequest {
+                store: Some(StoreHandle::Single(store)),
+                baseline: Some(Arc::clone(&baseline)),
+                ..TuneRequest::new(budget, threads)
+            },
         )?;
         let best_recipe = result.best.as_ref().map(|(point, _, _)| {
             // Re-prepare to specialize the best point; preparation is

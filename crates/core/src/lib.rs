@@ -41,6 +41,6 @@ pub use suggest::{
     MAX_SUGGEST_DISTANCE,
 };
 pub use system::{
-    check_coherence, region_hashes, ApplyError, LocusSystem, Prepared, StoreHandle, TuneResult,
-    VariantOutcome, PARALLEL_BATCH, WARM_START_K,
+    check_coherence, region_hashes, ApplyError, LocusSystem, Prepared, StoreHandle, TuneRequest,
+    TuneResult, VariantOutcome, PARALLEL_BATCH, WARM_START_K,
 };

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use locus_lang::ast::{LItem, LocusProgram};
 use locus_lang::interp::{HostError, LocusError};
@@ -18,7 +18,7 @@ use locus_trace::{kv, Tracer};
 
 use locus_store::{EvalRecord, PruneRecord, SessionRecord, ShardedStore, StoreKey, TuningStore};
 
-use crate::memo::{MemoCache, MemoStats};
+use crate::memo::MemoCache;
 use crate::registry::{is_query, run_query, RegionHost};
 use crate::report::TuneReport;
 
@@ -128,6 +128,43 @@ impl StoreHandle<'_> {
     }
 }
 
+/// The inputs of one [`LocusSystem::tune_parallel`] session. Build it as
+/// `TuneRequest { store: …, ..TuneRequest::new(budget, threads) }`; the
+/// entry point's docs explain what each optional part changes.
+pub struct TuneRequest<'a> {
+    /// Number of evaluations the search may spend.
+    pub budget: usize,
+    /// Worker threads measuring each batch (clamped to at least one).
+    pub threads: usize,
+    /// A caller-owned memo cache shared across runs (`None`: a fresh one).
+    pub cache: Option<&'a MemoCache>,
+    /// The persistent store the session rehydrates from and appends to.
+    pub store: Option<StoreHandle<'a>>,
+    /// Receives the session's spans and events. Clones share one
+    /// buffer, so the caller drains its own handle afterwards.
+    pub tracer: Tracer,
+    /// Pre-compiled handle for the tuning *source*: when it wraps
+    /// exactly the source and entry being baselined, the baseline runs
+    /// through its compile memo instead of re-lowering. The fleet
+    /// driver shares one across machine profiles, so the source
+    /// compiles once for the whole fan-out.
+    pub baseline: Option<Arc<CompiledVariant>>,
+}
+
+impl TuneRequest<'_> {
+    /// A store-less, untraced request with a fresh cache.
+    pub fn new(budget: usize, threads: usize) -> Self {
+        TuneRequest {
+            budget,
+            threads,
+            cache: None,
+            store: None,
+            tracer: Tracer::disabled(),
+            baseline: None,
+        }
+    }
+}
+
 /// A prepared (query-substituted, optimized) Locus program together with
 /// its extracted optimization space.
 #[derive(Debug, Clone)]
@@ -208,14 +245,6 @@ pub struct LocusSystem {
     /// default; the ablation benches turn it off to measure its effect
     /// on space size and search time.
     pub optimize_programs: bool,
-    /// Pre-compiled handle for the tuning *source* (batched
-    /// evaluation): when set and it wraps exactly the source and entry
-    /// a driver is about to baseline, the measurement goes through the
-    /// handle's compile memo instead of re-lowering. The fleet driver
-    /// shares one across machine profiles — the source compiles once
-    /// for the whole fan-out. Ignored (with a fresh lowering) whenever
-    /// the wrapped program differs from the measured one.
-    baseline_variant: Option<std::sync::Arc<CompiledVariant>>,
 }
 
 impl LocusSystem {
@@ -229,16 +258,7 @@ impl LocusSystem {
             entry: "kernel".to_string(),
             verify_results: true,
             optimize_programs: true,
-            baseline_variant: None,
         }
-    }
-
-    /// Shares a pre-compiled source handle with this system (see the
-    /// `baseline_variant` field): subsequent baseline measurements of
-    /// that exact program reuse its compiled code across machine
-    /// configurations instead of re-lowering per run.
-    pub fn set_baseline_variant(&mut self, variant: std::sync::Arc<CompiledVariant>) {
-        self.baseline_variant = Some(variant);
     }
 
     /// Prepares a Locus program for a given source: substitutes queries
@@ -302,9 +322,7 @@ impl LocusSystem {
         let sys = self.clone();
         let source = source.clone();
         let prepared = prepared.clone();
-        std::sync::Arc::new(move |point: &Point| {
-            sys.build_variant(&source, &prepared, point).is_ok()
-        })
+        Arc::new(move |point: &Point| sys.build_variant(&source, &prepared, point).is_ok())
     }
 
     /// Builds the variant a point denotes: runs the optimization program
@@ -362,14 +380,17 @@ impl LocusSystem {
     }
 
     /// Measures `source` for a baseline, routing through the shared
-    /// [`CompiledVariant`] when one is set for exactly this program and
-    /// entry (bit-identical to [`LocusSystem::measure`] either way —
-    /// the batched path's contract).
+    /// [`CompiledVariant`] when one is given for exactly this program
+    /// and entry (bit-identical to [`LocusSystem::measure`] either way —
+    /// the batched path's contract). A handle wrapping any other
+    /// program or entry is ignored: a stale handle would measure the
+    /// wrong code.
     fn measure_baseline(
         &self,
         source: &Program,
+        baseline: Option<&CompiledVariant>,
     ) -> Result<Measurement, locus_machine::RuntimeError> {
-        if let Some(v) = &self.baseline_variant {
+        if let Some(v) = baseline {
             if v.entry() == self.entry && v.program() == source {
                 return v.run(self.machine.config());
             }
@@ -493,117 +514,22 @@ impl LocusSystem {
         })
     }
 
-    /// The parallel search workflow: like [`LocusSystem::tune`], but
-    /// each batch of proposals is evaluated by a pool of `threads`
-    /// worker threads sharing a two-level [`MemoCache`], so duplicate
-    /// points — and distinct points denoting the *same* variant — are
-    /// measured exactly once.
-    ///
-    /// Determinism: proposals are drawn in batches of
-    /// [`PARALLEL_BATCH`] regardless of `threads`, workers only compute
-    /// objectives (the simulated machine is deterministic), and results
-    /// are merged back in proposal order through the same
-    /// [`locus_search::Bookkeeper`] the sequential driver uses. For
-    /// search modules whose proposals do not depend on observations
-    /// (exhaustive, seeded random) the outcome is bit-identical to
-    /// [`LocusSystem::tune`]; for every module it is bit-identical
-    /// across thread counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-    ) -> Result<TuneResult, ApplyError> {
-        self.tune_parallel_with_cache(source, locus, search, budget, threads)
-            .map(|(result, _)| result)
-    }
-
-    /// [`LocusSystem::tune_parallel`], additionally reporting the memo
-    /// cache statistics of the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_with_cache(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-    ) -> Result<(TuneResult, MemoStats), ApplyError> {
-        let cache = MemoCache::new();
-        let result = self.tune_parallel_shared(source, locus, search, budget, threads, &cache)?;
-        Ok((result, cache.stats()))
-    }
-
-    /// [`LocusSystem::tune_parallel`] returning the full session
-    /// [`TuneReport`] — most importantly
-    /// [`TuneReport::pruned_illegal`], the number of proposals the
-    /// static safety verifier rejected *before* simulation. Store-less
-    /// sessions that want pruning visibility use this; store-backed
-    /// ones get the same report from
-    /// [`LocusSystem::tune_parallel_with_store`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_with_report(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            None,
-            &Tracer::disabled(),
+    /// The [`StoreKey`] a tuning session of `source` under `prepared`
+    /// files its records under: the hashes of the regions the program
+    /// actually matches, plus machine and space digests.
+    pub fn store_key(&self, source: &Program, prepared: &Prepared) -> StoreKey {
+        let regions = matched_regions(source, prepared);
+        StoreKey::new(
+            regions
+                .into_iter()
+                .map(|(id, hash, _)| (id, hash))
+                .collect(),
+            self.machine.digest(),
+            prepared.space.digest(),
         )
     }
 
-    /// [`LocusSystem::tune_parallel_with_report`] with a
-    /// [`locus_trace::Tracer`] attached. When the tracer is enabled the
-    /// driver emits, into it:
-    ///
-    /// * `phase` spans bracketing every pipeline stage — prepare,
-    ///   baseline, store rehydration, warm start, and per batch the
-    ///   propose / build-verify / measure / merge stages, then
-    ///   finalize-best and store-append;
-    /// * one `eval` instant event per merged proposal, carrying the
-    ///   point's canonical key, its variant digest, where the objective
-    ///   came from (fresh measurement, session memo, store, coalesced,
-    ///   pruned), the verdict and the measured milliseconds;
-    /// * `verify` events for every statically pruned point (with the
-    ///   verifier's reason), `machine` spans from the worker threads
-    ///   (merged deterministically in evaluation-slot order), `search`
-    ///   events from the module's own decisions, and a final `session`
-    ///   summary with the complete [`TuneReport`] accounting.
-    ///
-    /// Tracing is observation-only: for the same inputs the returned
-    /// [`TuneResult`] is bit-identical whether the tracer is enabled,
-    /// disabled, or absent (asserted by the parallel determinism suite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
+    /// Forwards to [`LocusSystem::tune_parallel`]; kept because `locus-benchmark` calls it.
     pub fn tune_parallel_with_tracer(
         &self,
         source: &Program,
@@ -613,14 +539,81 @@ impl LocusSystem {
         threads: usize,
         tracer: &Tracer,
     ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(source, locus, search, budget, threads, &cache, None, tracer)
+        self.tune_parallel(
+            source,
+            locus,
+            search,
+            TuneRequest {
+                tracer: tracer.clone(),
+                ..TuneRequest::new(budget, threads)
+            },
+        )
     }
 
-    /// The store-backed search workflow: [`LocusSystem::tune_parallel`]
-    /// against a persistent [`TuningStore`], closing the loop the paper
-    /// opens in Sec. II (shipping tuning results for reuse). Before the
-    /// search starts the driver:
+    /// Forwards to [`LocusSystem::tune_parallel`]; kept because `locus-benchmark` calls it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tune_parallel_with_store_and_tracer(
+        &self,
+        source: &Program,
+        locus: &LocusProgram,
+        search: &mut dyn SearchModule,
+        budget: usize,
+        threads: usize,
+        store: &mut TuningStore,
+        tracer: &Tracer,
+    ) -> Result<(TuneResult, TuneReport), ApplyError> {
+        self.tune_parallel(
+            source,
+            locus,
+            search,
+            TuneRequest {
+                store: Some(StoreHandle::Single(store)),
+                tracer: tracer.clone(),
+                ..TuneRequest::new(budget, threads)
+            },
+        )
+    }
+
+    /// The search workflow of Fig. 2 with batched parallel evaluation:
+    /// the one tuning entry point beside the sequential reference
+    /// [`LocusSystem::tune`]. It converts the space, then per batch
+    /// proposes, builds and verifies, measures and feeds back. The full
+    /// [`TuneReport`] always comes back: [`TuneReport::pruned_illegal`]
+    /// counts the proposals the static safety verifier rejected
+    /// *before* simulation, and [`TuneReport::memo`] holds the cache
+    /// statistics of the run.
+    ///
+    /// # Parallel evaluation and determinism
+    ///
+    /// Each batch of proposals is evaluated by a pool of
+    /// `request.threads` worker threads sharing a two-level
+    /// [`MemoCache`], so duplicate points — and distinct points denoting
+    /// the *same* variant — are measured exactly once. Proposals are
+    /// drawn in batches of [`PARALLEL_BATCH`] regardless of the thread
+    /// count, workers only compute objectives (the simulated machine is
+    /// deterministic), and results are merged back in proposal order
+    /// through the same [`locus_search::Bookkeeper`] the sequential
+    /// driver uses. For search modules whose proposals do not depend on
+    /// observations (exhaustive, seeded random) the outcome is
+    /// bit-identical to [`LocusSystem::tune`]; for every module it is
+    /// bit-identical across thread counts.
+    ///
+    /// # Shared cache
+    ///
+    /// With a caller-owned [`MemoCache`], several tuning runs of one
+    /// session — different search modules or seeds over the same source
+    /// and machine — share measurements: a variant assessed by any
+    /// earlier run is never measured again (the OpenTuner-memoization
+    /// effect the paper credits in Sec. IV-B). Cache entries record
+    /// objectives of *this* system's machine; sharing a cache between
+    /// systems with different machine configurations would return stale
+    /// measurements. Use one cache per (source, machine) pair.
+    ///
+    /// # Store-backed sessions
+    ///
+    /// With `request.store` set, the session runs against a persistent
+    /// store, closing the loop the paper opens in Sec. II (shipping
+    /// tuning results for reuse). Before the search starts the driver:
     ///
     /// 1. **checks coherence** — store entries recorded for region
     ///    contents that have since been edited are invalidated
@@ -640,187 +633,74 @@ impl LocusSystem {
     /// with a session summary (region profile, winning point, and the
     /// direct recipe it denotes) that
     /// [`crate::suggest::suggest_with_store`] retrieves for structurally
-    /// similar regions.
+    /// similar regions. Prior points are fed best-first with
+    /// canonical-key tie-breaks and objectives are persisted
+    /// bit-exactly, so the same store file plus the same search seed
+    /// reproduce the same trajectory and the same best point.
     ///
-    /// Determinism: prior points are fed best-first with canonical-key
-    /// tie-breaks and objectives are persisted bit-exactly, so the same
-    /// store file plus the same search seed reproduce the same
-    /// trajectory and the same best point.
+    /// [`StoreHandle::Sharded`] takes the shared lock-striped
+    /// [`ShardedStore`] of a tuning service by `&self`, so any number of
+    /// concurrent sessions — the `locusd` daemon's worker threads — run
+    /// against one process-wide store at once. Each session locks only
+    /// the stripe holding its own `(regions, machine, space)` records,
+    /// during rehydration, warm start and append-back; the batch loop in
+    /// between holds no store lock at all. For the same inputs over the
+    /// same store contents the result is bit-identical to
+    /// [`StoreHandle::Single`]: only the handle differs.
     ///
-    /// # Errors
+    /// # Tracing
     ///
-    /// Returns [`ApplyError`] when preparation fails, the baseline
-    /// cannot be measured, or ([`ApplyError::Store`]) the store cannot
-    /// be written.
-    pub fn tune_parallel_with_store(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        store: &mut TuningStore,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            Some(StoreHandle::Single(store)),
-            &Tracer::disabled(),
-        )
-    }
-
-    /// [`LocusSystem::tune_parallel_with_store`] against the shared
-    /// lock-striped [`ShardedStore`] of a tuning service: the store is
-    /// taken by `&self`, so any number of concurrent sessions — the
-    /// `locusd` daemon's worker threads — run against one process-wide
-    /// store at once. Each session locks only the stripe holding its
-    /// own `(regions, machine, space)` records, during rehydration,
-    /// warm start and append-back; the batch loop in between holds no
-    /// store lock at all.
+    /// When `request.tracer` is enabled the driver emits, into it:
     ///
-    /// For the same inputs over the same store contents, the result is
-    /// bit-identical to the single-store path — the driver behind both
-    /// is the same, only the handle differs.
+    /// * `phase` spans bracketing every pipeline stage — prepare,
+    ///   baseline, store rehydration, warm start, and per batch the
+    ///   propose / build-verify / measure / merge stages, then
+    ///   finalize-best and store-append;
+    /// * one `eval` instant event per merged proposal, carrying the
+    ///   point's canonical key, its variant digest, where the objective
+    ///   came from (fresh measurement, session memo, store, coalesced,
+    ///   pruned), the verdict and the measured milliseconds;
+    /// * `verify` events for every statically pruned point (with the
+    ///   verifier's reason), `machine` spans from the worker threads
+    ///   (merged deterministically in evaluation-slot order), `search`
+    ///   events from the module's own decisions, and a final `session`
+    ///   summary with the complete [`TuneReport`] accounting.
+    ///
+    /// Tracing is observation-only: for the same inputs the returned
+    /// [`TuneResult`] is bit-identical whether the tracer is enabled or
+    /// disabled (asserted by the parallel determinism suite).
     ///
     /// # Errors
     ///
     /// Returns [`ApplyError`] when preparation fails, the baseline
-    /// cannot be measured, or ([`ApplyError::Store`]) a shard cannot be
-    /// written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tune_parallel_with_sharded_store(
+    /// cannot be measured, or ([`ApplyError::Store`]) the store or one
+    /// of its shards cannot be written.
+    pub fn tune_parallel(
         &self,
         source: &Program,
         locus: &LocusProgram,
         search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        store: &ShardedStore,
-        tracer: &Tracer,
+        request: TuneRequest<'_>,
     ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            Some(StoreHandle::Sharded(store)),
-            tracer,
-        )
-    }
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// [`LocusSystem::tune_parallel_with_store`] with a
-    /// [`locus_trace::Tracer`] attached — the store workflow's analogue
-    /// of [`LocusSystem::tune_parallel_with_tracer`], emitting the same
-    /// phase spans and per-evaluation events plus the store rehydration
-    /// and append-back stages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails, the baseline
-    /// cannot be measured, or ([`ApplyError::Store`]) the store cannot
-    /// be written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tune_parallel_with_store_and_tracer(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        store: &mut TuningStore,
-        tracer: &Tracer,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            Some(StoreHandle::Single(store)),
-            tracer,
-        )
-    }
-
-    /// The [`StoreKey`] a tuning session of `source` under `prepared`
-    /// files its records under: the hashes of the regions the program
-    /// actually matches, plus machine and space digests.
-    pub fn store_key(&self, source: &Program, prepared: &Prepared) -> StoreKey {
-        let regions = matched_regions(source, prepared);
-        StoreKey::new(
-            regions
-                .into_iter()
-                .map(|(id, hash, _)| (id, hash))
-                .collect(),
-            self.machine.digest(),
-            prepared.space.digest(),
-        )
-    }
-
-    /// [`LocusSystem::tune_parallel`] against a caller-owned
-    /// [`MemoCache`], so several tuning runs of one session — different
-    /// search modules or seeds over the same source and machine — share
-    /// measurements: a variant assessed by any earlier run is never
-    /// measured again (the OpenTuner-memoization effect the paper
-    /// credits in Sec. IV-B).
-    ///
-    /// Cache entries record objectives of *this* system's machine;
-    /// sharing a cache between systems with different machine
-    /// configurations would return stale measurements. Use one cache per
-    /// (source, machine) pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_shared(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        cache: &MemoCache,
-    ) -> Result<TuneResult, ApplyError> {
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
+        let TuneRequest {
             budget,
             threads,
             cache,
-            None,
-            &Tracer::disabled(),
-        )
-        .map(|(result, _)| result)
-    }
-
-    /// The shared parallel driver behind every `tune_parallel*` entry
-    /// point. With a store, the session is bracketed by rehydration /
-    /// warm-start on the way in and append-back on the way out; the
-    /// batch loop itself is identical either way.
-    #[allow(clippy::too_many_arguments)]
-    fn tune_parallel_driver(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        cache: &MemoCache,
-        mut store: Option<StoreHandle<'_>>,
-        tracer: &Tracer,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+            mut store,
+            tracer,
+            baseline: baseline_variant,
+        } = request;
+        let fresh_cache;
+        let cache = match cache {
+            Some(cache) => cache,
+            None => {
+                fresh_cache = MemoCache::new();
+                &fresh_cache
+            }
+        };
+        let tracer = &tracer;
 
         let prepared = {
             let _span = tracer.span("phase", "prepare");
@@ -828,7 +708,7 @@ impl LocusSystem {
         };
         let baseline = {
             let _span = tracer.span("phase", "baseline");
-            self.measure_baseline(source)
+            self.measure_baseline(source, baseline_variant.as_deref())
                 .map_err(|e| ApplyError::Locus(format!("baseline run failed: {e}")))?
         };
         let expected = baseline.checksum;
@@ -881,7 +761,7 @@ impl LocusSystem {
         // finalize step reuses the winner's compiled code. The programs
         // are small region kernels, so holding them for the run is
         // cheap next to even one simulation.
-        let mut compiled: HashMap<u64, std::sync::Arc<CompiledVariant>> = HashMap::new();
+        let mut compiled: HashMap<u64, Arc<CompiledVariant>> = HashMap::new();
         let mut fresh_prunes: Vec<PruneRecord> = Vec::new();
 
         let mut book = locus_search::Bookkeeper::new(budget);
@@ -907,7 +787,7 @@ impl LocusSystem {
             // loop's `eval` events. When the tracer is disabled the
             // labels are never read; pushing `&'static str`s is free.
             let mut batch_origin: Vec<&'static str> = Vec::with_capacity(batch.len());
-            let mut to_measure: Vec<(u64, Point, std::sync::Arc<CompiledVariant>)> = Vec::new();
+            let mut to_measure: Vec<(u64, Point, Arc<CompiledVariant>)> = Vec::new();
             let mut measuring = std::collections::HashSet::new();
             let build_span = tracer.span("phase", "build-verify");
             for point in &batch {
@@ -935,8 +815,8 @@ impl LocusSystem {
                         // measures it compiles it (off the main thread),
                         // and the finalize step below re-measures the
                         // winner through the same memo — no re-lowering.
-                        let cv = std::sync::Arc::new(CompiledVariant::new(program, &self.entry));
-                        compiled.insert(variant, std::sync::Arc::clone(&cv));
+                        let cv = Arc::new(CompiledVariant::new(program, &self.entry));
+                        compiled.insert(variant, Arc::clone(&cv));
                         to_measure.push((variant, point.clone(), cv));
                     }
                     Err(VariantOutcome::Illegal(reason)) => {
@@ -1502,24 +1382,30 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
 
-        let (cold, cold_report) = {
+        // Each session opens the file afresh, so the warm one sees only
+        // what the cold one persisted.
+        let session = || {
             let mut store = TuningStore::open(&path).unwrap();
             let mut search = locus_search::ExhaustiveSearch::default();
-            sys.tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
-                .unwrap()
+            sys.tune_parallel(
+                &source,
+                &locus,
+                &mut search,
+                TuneRequest {
+                    store: Some(StoreHandle::Single(&mut store)),
+                    ..TuneRequest::new(8, 2)
+                },
+            )
+            .unwrap()
         };
+        let (cold, cold_report) = session();
         assert!(cold_report.evaluations() > 0);
         assert_eq!(cold_report.store_hits(), 0);
         assert_eq!(cold_report.appended, cold_report.evaluations());
 
         // Re-open the file cold: a brand-new session must answer every
         // proposal from disk.
-        let (warm, warm_report) = {
-            let mut store = TuningStore::open(&path).unwrap();
-            let mut search = locus_search::ExhaustiveSearch::default();
-            sys.tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
-                .unwrap()
-        };
+        let (warm, warm_report) = session();
         assert_eq!(
             warm_report.evaluations(),
             0,

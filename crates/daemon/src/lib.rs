@@ -25,7 +25,7 @@
 //!   `locus-client` binary and the benchmark/test harnesses.
 //!
 //! Determinism is load-bearing: a daemon `tune` request runs the exact
-//! library driver (`tune_parallel_with_sharded_store`) with seeded
+//! library driver (`tune_parallel` over the sharded store) with seeded
 //! search modules, so its results are bit-identical to a direct
 //! in-process call — the property `tests/daemon_service.rs` pins.
 

@@ -17,10 +17,11 @@
 //! crashed request cannot wedge shared state.
 //!
 //! **Determinism**: a daemon tune request runs the exact same
-//! [`LocusSystem::tune_parallel_with_sharded_store`] driver a library
-//! caller uses, with the same seeded search modules — so results are
-//! bit-identical to direct calls (pinned by `tests/daemon_service.rs`),
-//! and `f64` payloads cross the wire as exact bit patterns.
+//! [`LocusSystem::tune_parallel`] driver a library caller uses, over a
+//! [`StoreHandle::Sharded`] store, with the same seeded search modules
+//! — so results are bit-identical to direct calls (pinned by
+//! `tests/daemon_service.rs`), and `f64` payloads cross the wire as
+//! exact bit patterns.
 //!
 //! **Observability**: with a trace log configured, every tune request
 //! runs under its own [`Tracer`], and its drained events are stamped
@@ -37,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use locus_core::{suggest_with_sharded_store, LocusSystem};
+use locus_core::{suggest_with_sharded_store, LocusSystem, StoreHandle, TuneRequest};
 use locus_corpus::registry::{all_programs, CorpusEntry};
 use locus_machine::profiles::all_profiles;
 use locus_machine::{Machine, MachineConfig};
@@ -506,14 +507,15 @@ fn execute_tune(shared: &Shared, request: &Request) -> Response {
     } else {
         Tracer::disabled()
     };
-    let tuned = system.tune_parallel_with_sharded_store(
+    let tuned = system.tune_parallel(
         &entry.program,
         &locus,
         search.as_mut(),
-        budget,
-        threads,
-        &shared.store,
-        &tracer,
+        TuneRequest {
+            store: Some(StoreHandle::Sharded(&shared.store)),
+            tracer: tracer.clone(),
+            ..TuneRequest::new(budget, threads)
+        },
     );
     shared.append_trace(&request.id, tracer.drain());
     let (result, report) = match tuned {

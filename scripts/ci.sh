@@ -16,6 +16,14 @@ cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+# The end-to-end benchmark package is not a workspace member, so the
+# lines above never compile it. Build and unit-test it here, so a
+# library API change that breaks it fails CI rather than the benchmark
+# run; --locked also refuses a dependency change that would rewrite its
+# Cargo.lock.
+cargo build --release --offline --locked --manifest-path crates/bench/src/bin/locus-benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path crates/bench/src/bin/locus-benchmark/Cargo.toml
+
 # Engine bench smoke in check mode: refuses to pass unless every kernel
 # is bit-identical across the tree interpreter, the register VM *and*
 # the batched register path, the register VM clears its speedup floors

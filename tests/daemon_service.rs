@@ -5,7 +5,7 @@
 //! * **bit-identity** — N concurrent clients tuning registry kernels
 //!   through the daemon get byte- and bit-identical results (best
 //!   point, best milliseconds as an exact `f64` bit pattern, checksum)
-//!   to direct `tune_parallel_with_store` library calls;
+//!   to direct store-backed `tune_parallel` library calls;
 //! * **fault isolation** — a deliberately poisoned request (the
 //!   `debug-panic` op) is answered with a structured `panic` error
 //!   while sibling requests on other connections complete normally and
@@ -29,7 +29,7 @@ use locus::machine::Machine;
 use locus::report::{check_trace, filter_request};
 use locus::search::SearchModule;
 use locus::store::TuningStore;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, StoreHandle, TuneRequest};
 use locus::trace::{from_jsonl, Tracer};
 
 /// A fresh scratch directory for one test.
@@ -95,13 +95,14 @@ fn direct_result(
         TuningStore::open(dir.join(format!("direct-{kernel}-{search_name}.jsonl"))).unwrap();
     let mut search = make_search(search_name, seed);
     let (result, _report) = system
-        .tune_parallel_with_store(
+        .tune_parallel(
             &entry.program,
             &entry.locus_program(),
             search.as_mut(),
-            budget,
-            1,
-            &mut store,
+            TuneRequest {
+                store: Some(StoreHandle::Single(&mut store)),
+                ..TuneRequest::new(budget, 1)
+            },
         )
         .unwrap();
     let (point, _, measurement) = result.best.expect("registry kernels find a best variant");

@@ -12,7 +12,7 @@
 use locus::corpus::dgemm_program;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::{ExhaustiveSearch, RandomSearch, SearchModule};
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, StoreHandle, TuneReport, TuneRequest, TuneResult};
 
 fn tiny_system(cores: usize) -> LocusSystem {
     LocusSystem::new(Machine::new(MachineConfig::scaled_tiny().with_cores(cores)))
@@ -22,6 +22,19 @@ fn tiny_system(cores: usize) -> LocusSystem {
 /// at 4 (two tiling levels + OR block over OMP schedules).
 fn fig7_small() -> locus::lang::LocusProgram {
     locus_bench::fig6::fig7_locus_program(4)
+}
+
+/// [`LocusSystem::tune_parallel`] on this suite's problem: DGEMM at
+/// n = 8 under [`fig7_small`].
+fn tune_parallel(
+    system: &LocusSystem,
+    search: &mut dyn SearchModule,
+    request: TuneRequest<'_>,
+) -> (TuneResult, TuneReport) {
+    let (source, locus) = (dgemm_program(8), fig7_small());
+    system
+        .tune_parallel(&source, &locus, search, request)
+        .unwrap()
 }
 
 #[derive(Debug, PartialEq)]
@@ -57,9 +70,7 @@ fn parallel_matches_sequential_exhaustive() {
 
     for threads in [1, 2, 8] {
         let mut search = ExhaustiveSearch::default();
-        let parallel = system
-            .tune_parallel(&source, &locus, &mut search, budget, threads)
-            .unwrap();
+        let (parallel, _) = tune_parallel(&system, &mut search, TuneRequest::new(budget, threads));
         assert_eq!(
             fingerprint(&parallel),
             want,
@@ -85,9 +96,7 @@ fn parallel_matches_sequential_random() {
 
     for threads in [1, 2, 8] {
         let mut search = RandomSearch::new(seed);
-        let parallel = system
-            .tune_parallel(&source, &locus, &mut search, budget, threads)
-            .unwrap();
+        let (parallel, _) = tune_parallel(&system, &mut search, TuneRequest::new(budget, threads));
         assert_eq!(
             fingerprint(&parallel),
             want,
@@ -102,8 +111,6 @@ fn parallel_matches_sequential_random() {
 /// with each other.
 #[test]
 fn thread_count_is_invariant_for_adaptive_modules() {
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
     let budget = 32;
 
@@ -134,9 +141,8 @@ fn thread_count_is_invariant_for_adaptive_modules() {
         let mut reference: Option<Fingerprint> = None;
         for threads in [1, 2, 8] {
             let mut search = factory();
-            let result = system
-                .tune_parallel(&source, &locus, search.as_mut(), budget, threads)
-                .unwrap();
+            let (result, _) =
+                tune_parallel(&system, search.as_mut(), TuneRequest::new(budget, threads));
             let fp = fingerprint(&result);
             match &reference {
                 None => reference = Some(fp),
@@ -156,8 +162,6 @@ fn thread_count_is_invariant_for_adaptive_modules() {
 fn warm_start_roundtrip(module: &str, make: &dyn Fn() -> Box<dyn SearchModule>) {
     use locus::store::TuningStore;
 
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
     let budget = 32;
 
@@ -170,9 +174,14 @@ fn warm_start_roundtrip(module: &str, make: &dyn Fn() -> Box<dyn SearchModule>) 
     {
         let mut store = TuningStore::open(&cold_path).unwrap();
         let mut search = make();
-        let (_, report) = system
-            .tune_parallel_with_store(&source, &locus, search.as_mut(), budget, 4, &mut store)
-            .unwrap();
+        let (_, report) = tune_parallel(
+            &system,
+            search.as_mut(),
+            TuneRequest {
+                store: Some(StoreHandle::Single(&mut store)),
+                ..TuneRequest::new(budget, 4)
+            },
+        );
         assert!(report.evaluations() > 0, "{module}: cold run evaluated");
     }
 
@@ -185,16 +194,14 @@ fn warm_start_roundtrip(module: &str, make: &dyn Fn() -> Box<dyn SearchModule>) 
         std::fs::copy(&cold_path, &path).unwrap();
         let mut store = TuningStore::open(&path).unwrap();
         let mut search = make();
-        let (result, report) = system
-            .tune_parallel_with_store(
-                &source,
-                &locus,
-                search.as_mut(),
-                budget,
-                threads,
-                &mut store,
-            )
-            .unwrap();
+        let (result, report) = tune_parallel(
+            &system,
+            search.as_mut(),
+            TuneRequest {
+                store: Some(StoreHandle::Single(&mut store)),
+                ..TuneRequest::new(budget, threads)
+            },
+        );
         std::fs::remove_file(&path).ok();
         runs.push((fingerprint(&result), result.outcome.history.clone(), report));
     }
@@ -275,9 +282,8 @@ fn block_modules_match_sequential_tune_exactly() {
         );
         for threads in [1, 2, 8] {
             let mut search = factory();
-            let parallel = system
-                .tune_parallel(&source, &locus, search.as_mut(), budget, threads)
-                .unwrap();
+            let (parallel, _) =
+                tune_parallel(&system, search.as_mut(), TuneRequest::new(budget, threads));
             assert_eq!(
                 fingerprint(&parallel),
                 want,
@@ -293,8 +299,6 @@ fn block_modules_match_sequential_tune_exactly() {
 /// proposed twice must record point-level hits.
 #[test]
 fn memo_cache_sees_hits_on_duplicate_proposals() {
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
 
     // A stride small enough to sweep the fast-varying OR-block params:
@@ -302,9 +306,8 @@ fn memo_cache_sees_hits_on_duplicate_proposals() {
     // schedule/chunk values, so their direct programs collide at the
     // variant level and are measured once.
     let mut search = ExhaustiveSearch::default();
-    let (result, stats) = system
-        .tune_parallel_with_cache(&source, &locus, &mut search, 512, 4)
-        .unwrap();
+    let (result, report) = tune_parallel(&system, &mut search, TuneRequest::new(512, 4));
+    let stats = report.memo;
     assert!(result.best.is_some());
     assert!(
         stats.hits() >= 1,
@@ -317,9 +320,8 @@ fn memo_cache_sees_hits_on_duplicate_proposals() {
 
     // A random walk re-proposing points also scores point-level hits.
     let mut search = RandomSearch::new(3);
-    let (_, stats) = system
-        .tune_parallel_with_cache(&source, &locus, &mut search, 96, 2)
-        .unwrap();
+    let (_, report) = tune_parallel(&system, &mut search, TuneRequest::new(96, 2));
+    let stats = report.memo;
     assert!(
         stats.hits() >= 1,
         "expected point or variant hits under random re-proposals, stats: {stats:?}"
@@ -332,26 +334,32 @@ fn memo_cache_sees_hits_on_duplicate_proposals() {
 /// same run returns standalone.
 #[test]
 fn shared_cache_replays_without_perturbing_outcomes() {
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
 
     let mut search = RandomSearch::new(11);
-    let standalone = system
-        .tune_parallel(&source, &locus, &mut search, 32, 2)
-        .unwrap();
+    let (standalone, _) = tune_parallel(&system, &mut search, TuneRequest::new(32, 2));
 
     let shared = locus::system::MemoCache::new();
     let mut sweep = ExhaustiveSearch::default();
-    system
-        .tune_parallel_shared(&source, &locus, &mut sweep, 8192, 2, &shared)
-        .unwrap();
+    tune_parallel(
+        &system,
+        &mut sweep,
+        TuneRequest {
+            cache: Some(&shared),
+            ..TuneRequest::new(8192, 2)
+        },
+    );
     let before = shared.stats();
 
     let mut search = RandomSearch::new(11);
-    let replayed = system
-        .tune_parallel_shared(&source, &locus, &mut search, 32, 2, &shared)
-        .unwrap();
+    let (replayed, _) = tune_parallel(
+        &system,
+        &mut search,
+        TuneRequest {
+            cache: Some(&shared),
+            ..TuneRequest::new(32, 2)
+        },
+    );
     let after = shared.stats();
 
     assert_eq!(
@@ -376,8 +384,6 @@ fn shared_cache_replays_without_perturbing_outcomes() {
 fn report_counters_sum_to_proposed_points() {
     use locus::search::BanditTuner;
 
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
 
     type MakeSearch = Box<dyn Fn() -> Box<dyn SearchModule>>;
@@ -392,9 +398,8 @@ fn report_counters_sum_to_proposed_points() {
     for (name, factory) in &make {
         for threads in [1, 4] {
             let mut search = factory();
-            let (result, report) = system
-                .tune_parallel_with_report(&source, &locus, search.as_mut(), 48, threads)
-                .unwrap();
+            let (result, report) =
+                tune_parallel(&system, search.as_mut(), TuneRequest::new(48, threads));
             assert!(result.best.is_some(), "{name}: no best found");
             assert!(report.proposed > 0, "{name}: nothing proposed");
             assert_eq!(
@@ -421,24 +426,26 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
     use locus::search::BanditTuner;
     use locus::trace::Tracer;
 
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
     let budget = 32;
     let seed = 0x7ace;
 
     let mut search = BanditTuner::new(seed);
-    let (untraced, untraced_report) = system
-        .tune_parallel_with_report(&source, &locus, &mut search, budget, 4)
-        .unwrap();
+    let (untraced, untraced_report) =
+        tune_parallel(&system, &mut search, TuneRequest::new(budget, 4));
 
     let mut traces = Vec::new();
     for threads in [1, 4, 8] {
         let tracer = Tracer::enabled();
         let mut search = BanditTuner::new(seed);
-        let (traced, traced_report) = system
-            .tune_parallel_with_tracer(&source, &locus, &mut search, budget, threads, &tracer)
-            .unwrap();
+        let (traced, traced_report) = tune_parallel(
+            &system,
+            &mut search,
+            TuneRequest {
+                tracer: tracer.clone(),
+                ..TuneRequest::new(budget, threads)
+            },
+        );
         assert_eq!(
             fingerprint(&traced),
             fingerprint(&untraced),
@@ -488,8 +495,6 @@ fn store_backed_tracing_is_observation_only() {
     use locus::store::TuningStore;
     use locus::trace::Tracer;
 
-    let source = dgemm_program(8);
-    let locus = fig7_small();
     let system = tiny_system(1);
     let budget = 24;
     let seed = 0xace5;
@@ -503,25 +508,28 @@ fn store_backed_tracing_is_observation_only() {
 
     let mut store = TuningStore::open(&path_a).unwrap();
     let mut search = BanditTuner::new(seed);
-    let (plain, _) = system
-        .tune_parallel_with_store(&source, &locus, &mut search, budget, 4, &mut store)
-        .unwrap();
+    let (plain, _) = tune_parallel(
+        &system,
+        &mut search,
+        TuneRequest {
+            store: Some(StoreHandle::Single(&mut store)),
+            ..TuneRequest::new(budget, 4)
+        },
+    );
     drop(store);
 
     let tracer = Tracer::enabled();
     let mut store = TuningStore::open(&path_b).unwrap();
     let mut search = BanditTuner::new(seed);
-    let (traced, _) = system
-        .tune_parallel_with_store_and_tracer(
-            &source,
-            &locus,
-            &mut search,
-            budget,
-            4,
-            &mut store,
-            &tracer,
-        )
-        .unwrap();
+    let (traced, _) = tune_parallel(
+        &system,
+        &mut search,
+        TuneRequest {
+            store: Some(StoreHandle::Single(&mut store)),
+            tracer: tracer.clone(),
+            ..TuneRequest::new(budget, 4)
+        },
+    );
     drop(store);
 
     assert_eq!(
@@ -561,8 +569,83 @@ fn store_backed_tracing_is_observation_only() {
     // A disabled tracer stays empty no matter what ran through it.
     let disabled = Tracer::disabled();
     let mut search = BanditTuner::new(seed);
-    system
-        .tune_parallel_with_tracer(&source, &locus, &mut search, budget, 2, &disabled)
-        .unwrap();
+    tune_parallel(
+        &system,
+        &mut search,
+        TuneRequest {
+            tracer: disabled.clone(),
+            ..TuneRequest::new(budget, 2)
+        },
+    );
     assert!(disabled.events().is_empty());
+}
+
+/// Every optional part of a [`TuneRequest`] is result-preserving: a
+/// cold seeded bandit session under each of the twelve combinations of
+/// cache (fresh or caller-owned), store (none, a fresh single file, a
+/// fresh sharded directory) and tracer (disabled or enabled) agrees bit
+/// for bit on the best point and time, the improvement history and the
+/// evaluation count. A caller-owned cache's statistics are exactly what
+/// the report carries.
+#[test]
+fn every_request_combination_agrees_bit_for_bit() {
+    use locus::search::BanditTuner;
+    use locus::store::{ShardedStore, TuningStore, DEFAULT_SHARDS};
+    use locus::system::MemoCache;
+    use locus::trace::Tracer;
+
+    let system = tiny_system(1);
+    let dir = std::env::temp_dir().join(format!("locus-{}-request-table", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut runs = Vec::new();
+    for i in 0..12 {
+        let (owned_cache, store_kind, traced) =
+            (i >= 6, ["none", "single", "sharded"][i / 2 % 3], i % 2 == 1);
+        let label = format!("owned_cache={owned_cache} store={store_kind} traced={traced}");
+        let at = dir.join(i.to_string());
+        let mut single = (store_kind == "single")
+            .then(|| TuningStore::open(at.with_extension("jsonl")).unwrap());
+        let sharded =
+            (store_kind == "sharded").then(|| ShardedStore::open(&at, DEFAULT_SHARDS).unwrap());
+        let cache = MemoCache::new();
+        let tracer = if traced {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
+        let request = TuneRequest {
+            cache: owned_cache.then_some(&cache),
+            store: single
+                .as_mut()
+                .map(StoreHandle::Single)
+                .or(sharded.as_ref().map(StoreHandle::Sharded)),
+            tracer: tracer.clone(),
+            ..TuneRequest::new(32, 4)
+        };
+        let (result, report) = tune_parallel(&system, &mut BanditTuner::new(0x7ab1e), request);
+        if owned_cache {
+            assert_eq!(report.memo, cache.stats(), "{label}: report.memo");
+        }
+        assert_eq!(
+            tracer.events().is_empty(),
+            !traced,
+            "{label}: the caller's tracer handle"
+        );
+        let best_ms = result.best.as_ref().map(|(_, _, m)| m.time_ms.to_bits());
+        let history: Vec<(usize, u64)> = result
+            .outcome
+            .history
+            .iter()
+            .map(|(i, v)| (*i, v.to_bits()))
+            .collect();
+        runs.push((label, (fingerprint(&result), best_ms, history)));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (want_label, want) = &runs[0];
+    assert!(want.0.best_key.is_some(), "{want_label}: found no variant");
+    for (label, got) in &runs[1..] {
+        assert_eq!(got, want, "{label} diverged from {want_label}");
+    }
 }

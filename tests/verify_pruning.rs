@@ -14,7 +14,7 @@ use locus::corpus::dgemm_program;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::{ExhaustiveSearch, SearchModule};
 use locus::store::TuningStore;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, StoreHandle, TuneRequest};
 
 fn tiny_system() -> LocusSystem {
     LocusSystem::new(Machine::new(MachineConfig::scaled_tiny().with_cores(2)))
@@ -40,7 +40,7 @@ fn racy_points_are_pruned_before_simulation() {
 
     let mut search = ExhaustiveSearch::default();
     let (result, report) = system
-        .tune_parallel_with_report(&source, &locus, &mut search, 8, 2)
+        .tune_parallel(&source, &locus, &mut search, TuneRequest::new(8, 2))
         .unwrap();
 
     assert_eq!(result.space_size, 2, "two parallelization choices");
@@ -68,7 +68,7 @@ fn pruning_preserves_the_sequential_result_bit_for_bit() {
     for threads in [1, 2, 8] {
         let mut search = ExhaustiveSearch::default();
         let (parallel, report) = system
-            .tune_parallel_with_report(&source, &locus, &mut search, 8, threads)
+            .tune_parallel(&source, &locus, &mut search, TuneRequest::new(8, threads))
             .unwrap();
         assert!(report.pruned_illegal > 0, "threads={threads}: prune fired");
         assert_eq!(
@@ -98,26 +98,31 @@ fn prunes_replay_from_the_store_without_reanalysis() {
     ));
     std::fs::remove_file(&path).ok();
 
-    let (cold, cold_report) = {
+    // Each session opens the file afresh, so the warm one sees only
+    // what the cold one persisted.
+    let session = || {
         let mut store = TuningStore::open(&path).unwrap();
         let mut search = ExhaustiveSearch::default();
         system
-            .tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
+            .tune_parallel(
+                &source,
+                &locus,
+                &mut search,
+                TuneRequest {
+                    store: Some(StoreHandle::Single(&mut store)),
+                    ..TuneRequest::new(8, 2)
+                },
+            )
             .unwrap()
     };
+    let (cold, cold_report) = session();
     assert_eq!(cold_report.pruned_illegal, 1);
     assert_eq!(
         cold_report.appended, 2,
         "one evaluation and one prune persisted"
     );
 
-    let (warm, warm_report) = {
-        let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
-            .unwrap()
-    };
+    let (warm, warm_report) = session();
     assert_eq!(warm_report.rehydrated, cold_report.appended);
     assert_eq!(warm_report.evaluations(), 0, "nothing is re-measured");
     assert_eq!(warm_report.pruned_illegal, 0, "nothing is re-analyzed");
@@ -159,7 +164,7 @@ fn oracle_aware_modules_prune_before_proposing() {
     for (name, factory) in &make {
         let mut search = factory();
         let (result, report) = system
-            .tune_parallel_with_report(&source, &locus, search.as_mut(), 8, 2)
+            .tune_parallel(&source, &locus, search.as_mut(), TuneRequest::new(8, 2))
             .unwrap();
         assert_eq!(
             report.pruned_illegal, 0,
@@ -235,7 +240,7 @@ fn loop_carried_recurrence_never_ships() {
     let system = tiny_system();
     let mut search = ExhaustiveSearch::default();
     let (result, report) = system
-        .tune_parallel_with_report(&source, &locus, &mut search, 4, 2)
+        .tune_parallel(&source, &locus, &mut search, TuneRequest::new(4, 2))
         .unwrap();
     assert_eq!(report.pruned_illegal, 1);
     assert_eq!(report.evaluations(), 0, "nothing was ever simulated");
