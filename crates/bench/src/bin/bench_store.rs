@@ -4,18 +4,27 @@
 //! `BENCH_store.json`.
 //!
 //! Usage: `cargo run --release -p locus-bench --bin bench_store
-//! [output.json]` (threads via `LOCUS_THREADS`, default 8).
+//! [output.json] [--check]` (threads via `LOCUS_THREADS`, default 8).
+//! With `--check` it writes the report, then exits non-zero unless every
+//! row has `identical_best`, no warm evaluations and one warm store hit
+//! per unit of budget.
 
-use locus_bench::store::{run_store, to_json};
+use locus_bench::store::{check, run_store, to_json};
 
 fn main() {
     let threads = std::env::var("LOCUS_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_store.json".to_string());
+    let mut out = "BENCH_store.json".to_string();
+    let mut check_mode = false;
+    for arg in std::env::args().skip(1) {
+        if arg == "--check" {
+            check_mode = true;
+        } else {
+            out = arg;
+        }
+    }
 
     eprintln!("cold vs warm store-backed tuning, {threads} worker threads");
     let rows = run_store(threads);
@@ -39,4 +48,13 @@ fn main() {
 
     std::fs::write(&out, to_json(&rows)).expect("write benchmark report");
     eprintln!("wrote {out}");
+    if check_mode {
+        let violations = check(&rows);
+        assert!(
+            violations.is_empty(),
+            "acceptance bar failed:\n  {}",
+            violations.join("\n  ")
+        );
+        eprintln!("ok");
+    }
 }

@@ -203,6 +203,16 @@ pub fn run_parallel(threads: usize) -> Vec<ParallelRow> {
     ]
 }
 
+/// The acceptance bar of `bench_parallel --check`: every row's parallel
+/// driver returned the sequential driver's best point and objective.
+/// Returns one line per violation.
+pub fn check(rows: &[ParallelRow]) -> Vec<String> {
+    rows.iter()
+        .filter(|r| !r.identical_best)
+        .map(|r| format!("{}: parallel best differs from sequential best", r.label))
+        .collect()
+}
+
 /// Renders the rows as a JSON document (hand-rolled; the workspace has
 /// no serde).
 pub fn to_json(rows: &[ParallelRow]) -> String {

@@ -119,6 +119,35 @@ pub fn run_store(threads: usize) -> Vec<StoreRow> {
     ]
 }
 
+/// The acceptance bar of `bench_store --check`: per row, the warm
+/// session returns the cold session's best bit for bit, simulates
+/// nothing and answers every proposal from the store. Returns one line
+/// per violation.
+pub fn check(rows: &[StoreRow]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for r in rows {
+        if !r.identical_best {
+            violations.push(format!("{}: warm best differs from cold best", r.label));
+        }
+        if r.warm.evaluations() != 0 {
+            violations.push(format!(
+                "{}: warm session simulated {} variants",
+                r.label,
+                r.warm.evaluations()
+            ));
+        }
+        if r.warm.store_hits() != r.budget {
+            violations.push(format!(
+                "{}: {} warm store hits for budget {}",
+                r.label,
+                r.warm.store_hits(),
+                r.budget
+            ));
+        }
+    }
+    violations
+}
+
 /// Renders the rows as a JSON document (hand-rolled; the workspace has
 /// no serde).
 pub fn to_json(rows: &[StoreRow]) -> String {
@@ -180,10 +209,11 @@ mod tests {
         assert_eq!(row.cold.store_hits(), 0, "{:?}", row.cold);
         assert_eq!(row.warm.evaluations(), 0, "warm re-measures nothing");
         // Every warm proposal is a store hit — including the ones the
-        // cold session answered from its own in-session memo cache.
+        // cold session answered from its own in-session memo cache or
+        // could not build.
         assert_eq!(
             row.warm.store_hits(),
-            row.cold.evaluations() + row.cold.memo_hits()
+            row.cold.evaluations() + row.cold.memo_hits() + row.cold.build_failed
         );
         assert_eq!(row.warm.rehydrated, row.cold.appended);
         assert!(row.store_bytes > 0);

@@ -53,7 +53,8 @@ pub struct MemoStats {
     /// store (either level) — each one a measurement a prior session
     /// paid for.
     pub store_hits: usize,
-    /// Proposals that required an actual measurement.
+    /// Proposals answered by simulating a fresh variant. A point whose
+    /// variant failed to build simulates nothing and is not a miss.
     pub misses: usize,
     /// Distinct points held by the point level.
     pub unique_points: usize,
@@ -210,7 +211,7 @@ impl MemoCache {
         self.variant_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one actual measurement.
+    /// Counts one simulation of a fresh variant.
     pub fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }

@@ -6,14 +6,15 @@ use crate::memo::MemoStats;
 /// how much work the persistent store saved it, and how much it gave
 /// back.
 ///
-/// The four mutually exclusive ways a proposal gets an objective are
-/// [`TuneReport::evaluations`] (measured now),
+/// The five mutually exclusive ways a proposal gets an objective are
+/// [`TuneReport::evaluations`] (simulated now),
 /// [`TuneReport::memo_hits`] (measured earlier *this* session),
 /// [`TuneReport::store_hits`] (measured in a *prior* session and
-/// rehydrated from disk) and [`TuneReport::pruned_illegal`] (statically
-/// refused by the safety verifier, never measured at all). A warm
-/// repeat of an unchanged session performs zero evaluations — every
-/// proposal is a store hit.
+/// rehydrated from disk), [`TuneReport::pruned_illegal`] (statically
+/// refused by the safety verifier, never measured at all) and
+/// [`TuneReport::build_failed`] (the variant could not be built). A
+/// warm repeat of an unchanged session performs zero evaluations —
+/// every proposal is a store hit.
 ///
 /// [`TuneResult`]: crate::system::TuneResult
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,16 +37,29 @@ pub struct TuneReport {
     /// point never reaches the simulated machine; it is recorded as
     /// [`locus_search::Objective::Invalid`] so the search moves on.
     pub pruned_illegal: usize,
-    /// Every point the search module proposed, before memoization or
-    /// pruning. The accounting invariant — checked by the parallel
-    /// determinism suite — is `proposed == accounted()`: each proposal
-    /// is answered exactly once, by a memo hit, a store hit, a fresh
-    /// measurement, or a static refusal.
+    /// Points whose variant failed to build for a reason other than the
+    /// verifier: a violated dependent-range constraint (recorded as
+    /// [`locus_search::Objective::Invalid`]) or a failing module
+    /// ([`locus_search::Objective::Error`]). Nothing is simulated for
+    /// them.
+    pub build_failed: usize,
+    /// Proposals the driver resolved. A batch's proposals past the one
+    /// that exhausts the budget are dropped unresolved and not counted.
+    /// The accounting invariant — checked by the parallel determinism
+    /// suite — is `proposed == accounted()`: each resolved proposal is
+    /// answered exactly once, by a memo hit, a store hit, a fresh
+    /// simulation, a static refusal or a failed build.
     pub proposed: usize,
+    /// Calls to `LocusSystem::build_variant` this session: by the
+    /// legality oracle, the driver and the finalize step together. Each
+    /// distinct point is built at most once by the first two; finalize
+    /// builds only a winner this session did not measure.
+    pub builds: usize,
 }
 
 impl TuneReport {
-    /// Actual measurements performed this session.
+    /// Simulations of fresh variants this session. Points that failed
+    /// to build are counted in [`TuneReport::build_failed`] instead.
     pub fn evaluations(&self) -> usize {
         self.memo.misses
     }
@@ -61,10 +75,14 @@ impl TuneReport {
         self.memo.store_hits
     }
 
-    /// Proposals accounted for by one of the four outcomes: memo hit,
-    /// store hit, fresh measurement, or static refusal. Always equals
-    /// [`TuneReport::proposed`].
+    /// Proposals accounted for by one of the five outcomes: memo hit,
+    /// store hit, fresh simulation, static refusal or failed build.
+    /// Always equals [`TuneReport::proposed`].
     pub fn accounted(&self) -> usize {
-        self.memo_hits() + self.store_hits() + self.evaluations() + self.pruned_illegal
+        self.memo_hits()
+            + self.store_hits()
+            + self.evaluations()
+            + self.pruned_illegal
+            + self.build_failed
     }
 }

@@ -310,8 +310,9 @@ impl LocusSystem {
 
     /// A [`locus_search::LegalityOracle`] over this system: `true` iff
     /// the point decodes and passes verification (`verify::legal`).
-    /// Both tuning drivers attach the same oracle on every path, so
-    /// pruning-aware modules behave identically under each; the oracle
+    /// The sequential driver attaches it; the parallel one attaches
+    /// [`LocusSystem::table_oracle`], which gives the same answers, so
+    /// pruning-aware modules behave identically under each. The oracle
     /// is an optimization hook only — a module must also cope with
     /// `Objective::Invalid` feedback for points that slip through.
     fn legality_oracle(
@@ -323,6 +324,44 @@ impl LocusSystem {
         let source = source.clone();
         let prepared = prepared.clone();
         Arc::new(move |point: &Point| sys.build_variant(&source, &prepared, point).is_ok())
+    }
+
+    /// The legality oracle of [`LocusSystem::tune_parallel`]: the same
+    /// answer as [`LocusSystem::legality_oracle`], read from the
+    /// session's build table when the point's verdict is known. A point
+    /// the table does not know is built once; the build waits in the
+    /// table for the driver, which then does not build it again.
+    fn table_oracle(
+        &self,
+        source: &Program,
+        prepared: &Prepared,
+        table: &Arc<Mutex<BuildTable>>,
+    ) -> locus_search::LegalityOracle {
+        let sys = self.clone();
+        let source = source.clone();
+        let prepared = prepared.clone();
+        let table = Arc::clone(table);
+        Arc::new(move |point: &Point| {
+            let key = point.canonical_key();
+            let known = table
+                .lock()
+                .expect("build table")
+                .entries
+                .get(&key)
+                .and_then(|e| e.legal);
+            if let Some(legal) = known {
+                return legal;
+            }
+            let built = sys.build_variant(&source, &prepared, point);
+            let legal = built.is_ok();
+            let mut table = table.lock().expect("build table");
+            table.builds += 1;
+            table.pending += 1;
+            let entry = table.entries.entry(key).or_default();
+            entry.legal = Some(legal);
+            entry.built = Some(Box::new(built));
+            legal
+        })
     }
 
     /// Builds the variant a point denotes: runs the optimization program
@@ -580,8 +619,35 @@ impl LocusSystem {
     /// proposes, builds and verifies, measures and feeds back. The full
     /// [`TuneReport`] always comes back: [`TuneReport::pruned_illegal`]
     /// counts the proposals the static safety verifier rejected
-    /// *before* simulation, and [`TuneReport::memo`] holds the cache
-    /// statistics of the run.
+    /// *before* simulation, [`TuneReport::builds`] the variants built,
+    /// and [`TuneReport::memo`] holds the cache statistics of the run.
+    ///
+    /// # One build per point, nothing past the budget
+    ///
+    /// A session keeps one build table, keyed by each point's canonical
+    /// key. An entry holds the digest of the point's direct program
+    /// (rendered once per distinct point), whether the point builds,
+    /// and an oracle build the driver has not yet consumed.
+    ///
+    /// * The [`locus_search::LegalityOracle`] handed to pruning-aware
+    ///   modules answers from the table first. The table is seeded from
+    ///   the store records the session rehydrates (a measured point
+    ///   builds; an `Invalid` or pruned one does not) and learns the same
+    ///   from every point the driver resolves from the cache. A point it
+    ///   does not know is built once; the build waits in the table, and
+    ///   build-verify takes it instead of building again. Unconsumed
+    ///   builds are dropped after each batch; their verdicts stay.
+    /// * Build-verify walks each batch in proposal order and charges the
+    ///   budget as [`locus_search::Bookkeeper::record`] will: nothing for
+    ///   a point already resolved or an `Invalid` objective, one for
+    ///   anything else. It stops at the proposal that exhausts the
+    ///   budget, so nothing past the budget is built, measured or
+    ///   stored. [`TuneReport::proposed`] counts the proposals it
+    ///   resolved, and `proposed == accounted()` holds.
+    /// * Finalize ships the winner's program with the measurement its
+    ///   worker took. Only a winner this session did not simulate (one
+    ///   answered from the store or a shared cache) is built and
+    ///   measured again.
     ///
     /// # Parallel evaluation and determinism
     ///
@@ -714,6 +780,7 @@ impl LocusSystem {
         let expected = baseline.checksum;
         let threads = threads.max(1);
         let mut report = TuneReport::default();
+        let table = Arc::new(Mutex::new(BuildTable::default()));
 
         // Store session prologue: coherence check, cache rehydration.
         let store_key = store.as_ref().map(|_| self.store_key(source, &prepared));
@@ -724,8 +791,12 @@ impl LocusSystem {
                 .map(|(id, hash)| (id, hash.0))
                 .collect();
             report.invalidated = store.invalidate_stale(&current);
+            // Every record also tells the build table whether its point
+            // builds, so the legality oracle answers from disk too.
+            let mut table = table.lock().expect("build table");
             store.for_each_eval(key, |record| {
                 cache.seed(&record.point_key, record.variant, record.objective);
+                table.learn(&record.point_key, record.objective);
                 report.rehydrated += 1;
             });
             // Prior static refusals replay from disk too: a warm
@@ -733,12 +804,13 @@ impl LocusSystem {
             // points.
             store.for_each_prune(key, |prune| {
                 cache.seed(&prune.point_key, prune.variant, Objective::Invalid);
+                table.learn(&prune.point_key, Objective::Invalid);
                 report.rehydrated += 1;
             });
         }
 
         search.attach_tracer(tracer);
-        search.attach_pruner(&self.legality_oracle(source, &prepared));
+        search.attach_pruner(&self.table_oracle(source, &prepared, &table));
         search.begin(&prepared.space, budget);
         if let (Some(store), Some(key)) = (store.as_ref(), store_key.as_ref()) {
             let _span = tracer.span("phase", "warm-start");
@@ -758,22 +830,28 @@ impl LocusSystem {
         let mut fresh_records: Vec<EvalRecord> = Vec::new();
         // Every variant built this run, keyed by its digest and held as
         // a [`CompiledVariant`]: workers measure through these, and the
-        // finalize step reuses the winner's compiled code. The programs
-        // are small region kernels, so holding them for the run is
-        // cheap next to even one simulation.
+        // finalize step ships the winner's program from here. The
+        // programs are small region kernels, so holding them for the run
+        // is cheap next to even one simulation.
         let mut compiled: HashMap<u64, Arc<CompiledVariant>> = HashMap::new();
         let mut fresh_prunes: Vec<PruneRecord> = Vec::new();
 
+        // Digest and measurement of the best point so far when this
+        // session simulated it, kept from the worker so finalize need not
+        // run the winner again.
+        let mut best_run: Option<(u64, Measurement)> = None;
+        let mut batch_no = 0usize;
+
         let mut book = locus_search::Bookkeeper::new(budget);
-        'driver: while !book.done() {
-            let batch = {
+        while !book.done() {
+            let mut batch = {
                 let _span = tracer.span("phase", "propose");
                 search.propose_batch(&prepared.space, PARALLEL_BATCH)
             };
             if batch.is_empty() {
                 break;
             }
-            report.proposed += batch.len();
+            batch_no += 1;
 
             // Resolve every proposal against the cache, then *build*
             // each new variant on this thread: the build runs the
@@ -782,6 +860,13 @@ impl LocusSystem {
             // pruned here — before a worker thread ever simulates
             // anything. What reaches the pool is one built program per
             // *new, legal* variant digest.
+            //
+            // The walk charges the budget as the merge's
+            // `Bookkeeper::record` will — nothing for a point already
+            // resolved or an `Invalid` objective, one for anything else —
+            // and stops at the proposal that exhausts it, so nothing
+            // past the budget is built or measured.
+            let mut used = book.evaluations();
             let mut batch_variant: Vec<u64> = Vec::with_capacity(batch.len());
             // One origin label per proposal, read back by the merge
             // loop's `eval` events. When the tracer is disabled the
@@ -790,104 +875,161 @@ impl LocusSystem {
             let mut to_measure: Vec<(u64, Point, Arc<CompiledVariant>)> = Vec::new();
             let mut measuring = std::collections::HashSet::new();
             let build_span = tracer.span("phase", "build-verify");
+            let mut guard = table.lock().expect("build table");
+            let BuildTable {
+                entries,
+                pending,
+                builds,
+            } = &mut *guard;
             for point in &batch {
-                let variant =
-                    locus_srcir::hash::fnv1a(self.direct_program(&prepared, point).as_bytes());
+                if used >= budget {
+                    break;
+                }
+                let entry = entries.entry(point.canonical_key()).or_default();
+                // Every point resolved earlier this session — in an
+                // earlier batch or earlier in this one — is one the
+                // bookkeeper will have seen by the time it records this
+                // proposal.
+                let seen = entry.batch != 0;
+                entry.batch = batch_no;
+                let variant = *entry.digest.get_or_insert_with(|| {
+                    locus_srcir::hash::fnv1a(self.direct_program(&prepared, point).as_bytes())
+                });
+                let oracle_build = entry.built.take();
+                if oracle_build.is_some() {
+                    *pending -= 1;
+                }
                 batch_variant.push(variant);
-                if cache.lookup_point(point).is_some() || cache.lookup_variant(variant).is_some() {
+                // Whether the proposal's objective is not `Invalid`, and
+                // so costs budget unless the point was seen before.
+                let charged = if cache.lookup_point(point).is_some()
+                    || cache.lookup_variant(variant).is_some()
+                {
                     batch_origin.push(if tracer.is_enabled() {
                         cache.peek_origin(point, variant).unwrap_or("session")
                     } else {
                         "hit"
                     });
-                    continue;
-                }
-                if !measuring.insert(variant) {
+                    let objective = cache
+                        .peek_variant(variant)
+                        .or_else(|| cache.peek_point(point))
+                        .expect("a cache hit has an entry");
+                    entry.learn(objective);
+                    objective != Objective::Invalid
+                } else if !measuring.insert(variant) {
+                    // A variant this batch already measures: its
+                    // objective is a `Value` or an `Error`.
                     cache.note_coalesced();
                     batch_origin.push("coalesced");
-                    continue;
-                }
-                let start = std::time::Instant::now();
-                match self.build_variant(source, &prepared, point) {
-                    Ok(program) => {
-                        batch_origin.push("fresh");
-                        // Wrap for batched evaluation: the worker that
-                        // measures it compiles it (off the main thread),
-                        // and the finalize step below re-measures the
-                        // winner through the same memo — no re-lowering.
-                        let cv = Arc::new(CompiledVariant::new(program, &self.entry));
-                        compiled.insert(variant, Arc::clone(&cv));
-                        to_measure.push((variant, point.clone(), cv));
-                    }
-                    Err(VariantOutcome::Illegal(reason)) => {
-                        // Pruned: no measurement happened, so no
-                        // `note_miss` — the point simply never costs an
-                        // evaluation.
-                        batch_origin.push("pruned");
-                        let provenance = locus_verify::refusal_provenance(&reason);
-                        tracer.instant("verify", "prune", || {
-                            vec![
-                                kv("point", point.canonical_key()),
-                                kv("category", locus_verify::refusal_category(&reason)),
-                                kv("provenance", provenance),
-                                kv("reason", reason.clone()),
-                            ]
-                        });
-                        cache.insert(point, variant, Objective::Invalid);
-                        report.pruned_illegal += 1;
-                        if store.is_some() {
-                            fresh_prunes.push(PruneRecord {
-                                point_key: point.canonical_key(),
-                                variant,
-                                reason,
-                                provenance: provenance.to_string(),
-                                search: search_name.clone(),
+                    true
+                } else {
+                    let start = std::time::Instant::now();
+                    let built = match oracle_build {
+                        Some(built) => *built,
+                        None => {
+                            *builds += 1;
+                            self.build_variant(source, &prepared, point)
+                        }
+                    };
+                    entry.legal = Some(built.is_ok());
+                    match built {
+                        Ok(program) => {
+                            batch_origin.push("fresh");
+                            // Wrap for batched evaluation: the worker that
+                            // measures it compiles it, off the main thread.
+                            let cv = Arc::new(CompiledVariant::new(program, &self.entry));
+                            compiled.insert(variant, Arc::clone(&cv));
+                            to_measure.push((variant, point.clone(), cv));
+                            true
+                        }
+                        Err(VariantOutcome::Illegal(reason)) => {
+                            // Pruned: no measurement happened, so no
+                            // `note_miss` — the point simply never costs an
+                            // evaluation.
+                            batch_origin.push("pruned");
+                            let provenance = locus_verify::refusal_provenance(&reason);
+                            tracer.instant("verify", "prune", || {
+                                vec![
+                                    kv("point", point.canonical_key()),
+                                    kv("category", locus_verify::refusal_category(&reason)),
+                                    kv("provenance", provenance),
+                                    kv("reason", reason.clone()),
+                                ]
                             });
+                            cache.insert(point, variant, Objective::Invalid);
+                            report.pruned_illegal += 1;
+                            if store.is_some() {
+                                fresh_prunes.push(PruneRecord {
+                                    point_key: point.canonical_key(),
+                                    variant,
+                                    reason,
+                                    provenance: provenance.to_string(),
+                                    search: search_name.clone(),
+                                });
+                            }
+                            false
+                        }
+                        Err(outcome) => {
+                            // A failed build simulates nothing: it is no
+                            // cache miss, but it is stored and, unless
+                            // `Invalid`, charged like an evaluation.
+                            let objective = match outcome {
+                                VariantOutcome::Invalid(_) => Objective::Invalid,
+                                _ => Objective::Error,
+                            };
+                            batch_origin.push(match objective {
+                                Objective::Invalid => "invalid",
+                                _ => "error",
+                            });
+                            report.build_failed += 1;
+                            cache.insert(point, variant, objective);
+                            if store.is_some() {
+                                fresh_records.push(EvalRecord {
+                                    point_key: point.canonical_key(),
+                                    variant,
+                                    objective,
+                                    cycles: 0.0,
+                                    ops: 0,
+                                    flops: 0,
+                                    checksum: 0,
+                                    search: search_name.clone(),
+                                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                                });
+                            }
+                            objective != Objective::Invalid
                         }
                     }
-                    Err(outcome) => {
-                        // Build-time invalid/failed points keep the
-                        // ordinary evaluation accounting.
-                        let objective = match outcome {
-                            VariantOutcome::Invalid(_) => Objective::Invalid,
-                            _ => Objective::Error,
-                        };
-                        batch_origin.push(match objective {
-                            Objective::Invalid => "invalid",
-                            _ => "error",
-                        });
-                        cache.note_miss();
-                        cache.insert(point, variant, objective);
-                        if store.is_some() {
-                            fresh_records.push(EvalRecord {
-                                point_key: point.canonical_key(),
-                                variant,
-                                objective,
-                                cycles: 0.0,
-                                ops: 0,
-                                flops: 0,
-                                checksum: 0,
-                                search: search_name.clone(),
-                                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                            });
-                        }
-                    }
+                };
+                if charged && !seen {
+                    used += 1;
                 }
             }
+            // Oracle builds the batch did not consume (refused or cut
+            // points) are dropped; their verdicts stay.
+            if *pending > 0 {
+                entries.values_mut().for_each(|e| e.built = None);
+                *pending = 0;
+            }
+            drop(guard);
             drop(build_span);
+            batch.truncate(batch_variant.len());
+            report.proposed += batch.len();
 
             // Fan the fresh measurements out over the worker pool. Each
             // worker owns a clone of the system (and thus the machine);
             // an atomic cursor deals work out. Workers only *measure* —
             // every program handed to them was built (and statically
             // vetted) on the main thread above.
+            let mut measured: Vec<Option<Measurement>> = Vec::with_capacity(to_measure.len());
             if !to_measure.is_empty() {
                 let _span = tracer.span("phase", "measure");
                 let work = &to_measure;
                 let cursor = AtomicUsize::new(0);
                 let cursor = &cursor;
-                let results: Vec<Mutex<Option<(Objective, MeasureSummary)>>> =
-                    work.iter().map(|_| Mutex::new(None)).collect();
+                // Per slot: the objective, the measurement behind a
+                // `Value`, and the wall-clock of the run.
+                type Slot = Mutex<Option<(Objective, Option<Measurement>, f64)>>;
+                let results: Vec<Slot> = work.iter().map(|_| Mutex::new(None)).collect();
                 let results = &results;
                 // One scoped child tracer per work *slot* (not per worker
                 // thread): whichever thread measures slot `i` records into
@@ -907,25 +1049,17 @@ impl LocusSystem {
                                 break;
                             };
                             let start = std::time::Instant::now();
-                            let (objective, mut summary) =
+                            let (objective, m) =
                                 match variant.run_traced(sys.machine.config(), &slot_tracers[i]) {
                                     Ok(m) if sys.verify_results && m.checksum != expected => {
-                                        (Objective::Error, MeasureSummary::default())
+                                        (Objective::Error, None)
                                     }
-                                    Ok(m) => (
-                                        Objective::Value(m.time_ms),
-                                        MeasureSummary {
-                                            cycles: m.cycles,
-                                            ops: m.ops,
-                                            flops: m.flops,
-                                            checksum: m.checksum,
-                                            wall_ms: 0.0,
-                                        },
-                                    ),
-                                    Err(_) => (Objective::Error, MeasureSummary::default()),
+                                    Ok(m) => (Objective::Value(m.time_ms), Some(m)),
+                                    Err(_) => (Objective::Error, None),
                                 };
-                            summary.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                            *results[i].lock().expect("result slot") = Some((objective, summary));
+                            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                            *results[i].lock().expect("result slot") =
+                                Some((objective, m, wall_ms));
                         });
                     }
                 });
@@ -933,25 +1067,28 @@ impl LocusSystem {
                     tracer.absorb(slot.drain());
                 }
                 for ((variant, point, _), slot) in work.iter().zip(results) {
-                    let (objective, summary) = slot
+                    let (objective, m, wall_ms) = slot
                         .lock()
                         .expect("result slot")
+                        .take()
                         .expect("worker filled every dealt slot");
                     cache.note_miss();
                     cache.insert(point, *variant, objective);
                     if store.is_some() {
+                        let m = m.as_ref();
                         fresh_records.push(EvalRecord {
                             point_key: point.canonical_key(),
                             variant: *variant,
                             objective,
-                            cycles: summary.cycles,
-                            ops: summary.ops,
-                            flops: summary.flops,
-                            checksum: summary.checksum,
+                            cycles: m.map_or(0.0, |m| m.cycles),
+                            ops: m.map_or(0, |m| m.ops),
+                            flops: m.map_or(0, |m| m.flops),
+                            checksum: m.map_or(0, |m| m.checksum),
                             search: search_name.clone(),
-                            wall_ms: summary.wall_ms,
+                            wall_ms,
                         });
                     }
+                    measured.push(m);
                 }
             }
 
@@ -959,15 +1096,24 @@ impl LocusSystem {
             // through the same bookkeeping the sequential driver uses.
             let _span = tracer.span("phase", "merge");
             for ((point, variant), origin) in batch.iter().zip(&batch_variant).zip(&batch_origin) {
-                if book.done() {
-                    break 'driver;
-                }
+                debug_assert!(!book.done(), "the walk stops at the budget");
                 let objective = cache
                     .peek_variant(*variant)
                     .or_else(|| cache.peek_point(point))
                     .expect("every batch point resolved");
                 cache.insert_point(point, objective);
+                let best_before = book.best_value().map(f64::to_bits);
                 let (recorded, fresh) = book.record(point, |_| objective);
+                if book.best_value().map(f64::to_bits) != best_before {
+                    // A new best: keep its measurement when this batch
+                    // simulated it. A winner answered from the store or a
+                    // shared cache is measured by finalize instead.
+                    best_run = to_measure
+                        .iter()
+                        .zip(&measured)
+                        .find(|((v, _, _), _)| v == variant)
+                        .and_then(|(_, m)| Some((*variant, m.clone()?)));
+                }
                 if tracer.is_enabled() {
                     eval_index += 1;
                     let (value, verdict) = match recorded {
@@ -998,27 +1144,23 @@ impl LocusSystem {
                 }
                 search.observe(point, recorded, fresh);
             }
+            debug_assert_eq!(
+                book.evaluations(),
+                used,
+                "the walk charged as the merge did"
+            );
         }
         let outcome = book.finish();
 
         let best = {
             let _span = tracer.span("phase", "finalize-best");
             outcome.best.clone().and_then(|(point, _)| {
-                // When the winner was built (and therefore compiled)
-                // this run, re-measure through its memoized code; a
-                // winner resolved purely from rehydrated records was
-                // never built here and takes the build-and-measure
-                // path.
-                let digest =
-                    locus_srcir::hash::fnv1a(self.direct_program(&prepared, &point).as_bytes());
-                if let Some(cv) = compiled.get(&digest) {
-                    return match cv.run(self.machine.config()) {
-                        Ok(m) if !self.verify_results || m.checksum == expected => {
-                            Some((point, cv.program().clone(), m))
-                        }
-                        _ => None,
-                    };
+                if let Some((digest, m)) = best_run {
+                    return Some((point, compiled[&digest].program().clone(), m));
                 }
+                // A winner this session never simulated (resolved from
+                // the store or a shared cache) is built and measured.
+                report.builds += 1;
                 match self.evaluate_point(source, &prepared, &point, Some(expected)) {
                     VariantOutcome::Measured(boxed) => {
                         let (program, m) = *boxed;
@@ -1028,6 +1170,7 @@ impl LocusSystem {
                 }
             })
         };
+        report.builds += table.lock().expect("build table").builds;
 
         // Store session epilogue: persist fresh measurements and a
         // session summary (region profile + winning recipe) the
@@ -1091,6 +1234,8 @@ impl LocusSystem {
                     kv("memo_hits", report.memo_hits() as u64),
                     kv("store_hits", report.store_hits() as u64),
                     kv("pruned_illegal", report.pruned_illegal as u64),
+                    kv("build_failed", report.build_failed as u64),
+                    kv("builds", report.builds as u64),
                     kv("rehydrated", report.rehydrated as u64),
                     kv("seeded", report.seeded as u64),
                     kv("appended", report.appended as u64),
@@ -1117,15 +1262,62 @@ impl LocusSystem {
     }
 }
 
-/// Measurement summary workers hand back alongside the objective — the
-/// payload of the store's evaluation records.
-#[derive(Debug, Clone, Copy, Default)]
-struct MeasureSummary {
-    cycles: f64,
-    ops: u64,
-    flops: u64,
-    checksum: u64,
-    wall_ms: f64,
+/// One tuning session's build table, keyed by canonical point key: what
+/// the session knows about each point's variant. The legality oracle,
+/// the driver's build-verify step and finalize all read it, so each
+/// point is built at most once per session.
+#[derive(Default)]
+struct BuildTable {
+    entries: HashMap<String, BuildEntry>,
+    /// Entries holding an oracle build the driver has not consumed.
+    pending: usize,
+    /// `build_variant` calls made through the table.
+    builds: usize,
+}
+
+impl BuildTable {
+    /// Records the verdict of a stored objective (see
+    /// [`BuildEntry::learn`]) without adding an entry for an `Error`.
+    fn learn(&mut self, key: &str, objective: Objective) {
+        if objective == Objective::Error {
+            return;
+        }
+        match self.entries.get_mut(key) {
+            Some(entry) => entry.learn(objective),
+            None => {
+                let mut entry = BuildEntry::default();
+                entry.learn(objective);
+                self.entries.insert(key.to_string(), entry);
+            }
+        }
+    }
+}
+
+#[derive(Default)]
+struct BuildEntry {
+    /// FNV-1a digest of the point's direct program, once rendered.
+    digest: Option<u64>,
+    /// Whether the point builds (`build_variant(..).is_ok()`), once known.
+    legal: Option<bool>,
+    /// The oracle's build, held until the driver consumes it.
+    built: Option<Box<Result<Program, VariantOutcome>>>,
+    /// The driver batch that last resolved the point; 0 before the
+    /// first.
+    batch: usize,
+}
+
+impl BuildEntry {
+    /// Records the verdict an objective implies: a measured point
+    /// builds, an `Invalid` one does not, an `Error` one may do either.
+    /// A known verdict is kept.
+    fn learn(&mut self, objective: Objective) {
+        let legal = match objective {
+            Objective::Value(_) => true,
+            Objective::Invalid => false,
+            Objective::Error => return,
+        };
+        self.legal = self.legal.or(Some(legal));
+    }
 }
 
 /// The regions of `source` the prepared program actually matches, as

@@ -279,6 +279,12 @@ impl Bookkeeper {
         self.outcome.evaluations >= self.budget
     }
 
+    /// Budget charged so far: one per distinct point whose objective was
+    /// not [`Objective::Invalid`].
+    pub fn evaluations(&self) -> usize {
+        self.outcome.evaluations
+    }
+
     /// Records a point, calling `evaluate` only when the point was not
     /// seen before in this run. Returns the objective and whether this
     /// was a *fresh* evaluation.

@@ -45,6 +45,15 @@ cargo test -q --offline --locked --manifest-path crates/bench/src/bin/locus-benc
 # against its pre-extension composition on any family.
 ./target/release/bench_search --check
 
+# Parallel-driver bench in check mode: on every row tune_parallel must
+# return the sequential tune's best point and objective bit for bit.
+./target/release/bench_parallel /tmp/locus_bench_parallel.json --check
+
+# Store bench in check mode: the warm session must return the cold
+# session's best bit for bit, simulate nothing and answer one store hit
+# per unit of budget.
+./target/release/bench_store /tmp/locus_bench_store.json --check
+
 # Daemon bench smoke in check mode: zero error replies, the warm phase
 # re-measures nothing and beats the cold wall-clock, and a poisoned
 # request is refused as a structured panic while the daemon lives on.

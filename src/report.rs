@@ -193,7 +193,13 @@ fn render_rates(out: &mut String, summary: &Event) {
         ("memo hits", "memo_hits"),
         ("store hits", "store_hits"),
         ("pruned illegal", "pruned_illegal"),
+        ("build failed", "build_failed"),
     ] {
+        // Traces written before failed builds had their own counter
+        // carry no `build_failed` key; they counted them as measured.
+        if key == "build_failed" && summary.arg(key).is_none() {
+            continue;
+        }
         let n = count(key);
         let _ = writeln!(out, "{label:<15} {n:<6} ({:.1}%)", rate(n));
     }

@@ -413,6 +413,13 @@ fn report_counters_sum_to_proposed_points() {
                 report.pruned_illegal,
                 report.proposed
             );
+            // Nothing past the budget is built or measured: only the
+            // points the bookkeeper recorded reach the fresh cache.
+            assert_eq!(
+                report.memo.unique_points,
+                result.outcome.evaluations + result.outcome.invalid,
+                "{name} threads={threads}: cached points"
+            );
         }
     }
 }
@@ -627,6 +634,19 @@ fn every_request_combination_agrees_bit_for_bit() {
         if owned_cache {
             assert_eq!(report.memo, cache.stats(), "{label}: report.memo");
         }
+        // Each distinct point is built at most once, and nothing past
+        // the budget is simulated.
+        let resolved = result.outcome.evaluations + result.outcome.invalid;
+        assert!(
+            report.builds <= resolved,
+            "{label}: {} builds for {resolved} distinct points",
+            report.builds
+        );
+        assert!(
+            report.evaluations() <= 32,
+            "{label}: {} simulations",
+            report.evaluations()
+        );
         assert_eq!(
             tracer.events().is_empty(),
             !traced,

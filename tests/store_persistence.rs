@@ -135,6 +135,56 @@ fn reopened_store_warm_starts_to_identical_best() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A pruning-aware session against a store that already holds every
+/// point of its space builds and simulates nothing: the legality oracle
+/// answers from the rehydrated records and every proposal is a store
+/// hit. The one build allowed is finalize's, for the store-resolved
+/// winner.
+#[test]
+fn store_replay_of_a_covered_space_builds_nothing() {
+    use locus::search::{PortfolioSearch, SearchModule, TraceSampler};
+
+    let source = two_region_source("1.5");
+    // Nine points, each its own variant: every point gets a record.
+    let locus = locus::lang::parse(
+        r#"CodeReg mm {
+            ti = poweroftwo(2..8);
+            tj = poweroftwo(2..8);
+            Pips.Tiling(loop="0", factor=[ti, tj, 4]);
+        }"#,
+    )
+    .unwrap();
+    let path = tmp_path("covered-replay");
+    std::fs::remove_file(&path).ok();
+    let (cold, cold_report) = {
+        let mut store = TuningStore::open(&path).unwrap();
+        session(&source, &locus, StoreHandle::Single(&mut store))
+    };
+    assert_eq!(cold.space_size, 9);
+    assert_eq!(cold_report.proposed, 9, "the cold sweep covers the space");
+    assert_eq!(cold_report.memo_hits(), 0, "no two points share a variant");
+
+    let modules: [(&str, Box<dyn SearchModule>); 2] = [
+        ("sampler", Box::new(TraceSampler::new(5))),
+        ("portfolio", Box::new(PortfolioSearch::new(5))),
+    ];
+    for (name, mut search) in modules {
+        let mut store = TuningStore::open(&path).unwrap();
+        let request = TuneRequest {
+            store: Some(StoreHandle::Single(&mut store)),
+            ..TuneRequest::new(16, 2)
+        };
+        let (_, report) = tiny_system()
+            .tune_parallel(&source, &locus, search.as_mut(), request)
+            .unwrap();
+        assert!(report.proposed > 0, "{name}: nothing proposed");
+        assert_eq!(report.evaluations(), 0, "{name}: nothing simulated");
+        assert_eq!(report.store_hits(), report.proposed, "{name}: {report:?}");
+        assert!(report.builds <= 1, "{name}: {} builds", report.builds);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// A region edited between sessions invalidates exactly its own store
 /// entries; the sibling region's entries stay live, all through one
 /// serialized store file. `check_coherence` flags the same edit.
