@@ -6,8 +6,9 @@
 //! Usage: `cargo run --release -p locus-bench --bin bench_store
 //! [output.json] [--check]` (threads via `LOCUS_THREADS`, default 8).
 //! With `--check` it writes the report, then exits non-zero unless every
-//! row has `identical_best`, no warm evaluations and one warm store hit
-//! per unit of budget.
+//! row has `identical_best`, no warm evaluations, one warm store hit
+//! per unit of budget, and a reopened log (`open_ms`, median of five
+//! reopens) that indexes every appended record and skips no line.
 
 use locus_bench::store::{check, run_store, to_json};
 
@@ -31,7 +32,8 @@ fn main() {
     for r in &rows {
         println!(
             "{:<26} {:<18} budget {:>5}  cold {:>8.3}s ({} evals)  warm {:>8.3}s \
-             ({} evals, {} store hits)  cold/warm {:>6.2}x  store {:>7} B  identical_best {}",
+             ({} evals, {} store hits)  cold/warm {:>6.2}x  store {:>7} B  \
+             reopen {:>7.3}ms ({} records, {} skipped)  identical_best {}",
             r.label,
             r.search,
             r.budget,
@@ -42,6 +44,9 @@ fn main() {
             r.warm.store_hits(),
             r.ratio,
             r.store_bytes,
+            r.open_ms,
+            r.open_records,
+            r.open_skipped,
             r.identical_best,
         );
     }

@@ -3,7 +3,9 @@
 //! every measurement; the warm session rehydrates the memo cache from
 //! disk, warm-starts the search, and should perform **zero** fresh
 //! measurements — its wall-clock is pure replay. The cold/warm ratio is
-//! the headline number of `BENCH_store.json`.
+//! the headline number of `BENCH_store.json`. Each row also times
+//! reopening the finished log, the cost every store-backed command-line
+//! session pays before it tunes.
 
 use std::time::Instant;
 
@@ -41,6 +43,37 @@ pub struct StoreRow {
     pub identical_best: bool,
     /// Size of the store file after both sessions, in bytes.
     pub store_bytes: u64,
+    /// Median wall-clock of [`OPEN_REPEATS`] reopens of the finished
+    /// log, milliseconds.
+    pub open_ms: f64,
+    /// Evaluation and prune records the reopened log indexes.
+    pub open_records: usize,
+    /// Lines the reopened log skipped as malformed.
+    pub open_skipped: usize,
+}
+
+/// How many times each row reopens its finished log for `open_ms`.
+pub const OPEN_REPEATS: usize = 5;
+
+/// Reopens a finished log [`OPEN_REPEATS`] times: the median open
+/// wall-clock in milliseconds, then the records indexed and the lines
+/// skipped.
+fn reopen(path: &std::path::Path) -> (f64, usize, usize) {
+    let mut times = Vec::with_capacity(OPEN_REPEATS);
+    let mut counts = (0, 0);
+    for _ in 0..OPEN_REPEATS {
+        let start = Instant::now();
+        let store = TuningStore::open(path).expect("reopen tuning store");
+        times.push(start.elapsed().as_secs_f64() * 1e3);
+        let records = store
+            .keys()
+            .into_iter()
+            .map(|key| store.evals(key).len() + store.prunes(key).len())
+            .sum();
+        counts = (records, store.skipped_lines());
+    }
+    times.sort_by(f64::total_cmp);
+    (times[OPEN_REPEATS / 2], counts.0, counts.1)
 }
 
 fn best_key(result: &TuneResult) -> Option<(String, u64)> {
@@ -93,6 +126,7 @@ pub fn run_pair(label: &str, budget: usize, threads: usize) -> StoreRow {
     let (warm_result, warm, warm_s) = session(&system, &path, &mut search, budget, threads);
 
     let store_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    let (open_ms, open_records, open_skipped) = reopen(&path);
     std::fs::remove_file(&path).ok();
 
     StoreRow {
@@ -107,6 +141,9 @@ pub fn run_pair(label: &str, budget: usize, threads: usize) -> StoreRow {
         warm,
         identical_best: best_key(&cold_result) == best_key(&warm_result),
         store_bytes,
+        open_ms,
+        open_records,
+        open_skipped,
     }
 }
 
@@ -121,8 +158,9 @@ pub fn run_store(threads: usize) -> Vec<StoreRow> {
 
 /// The acceptance bar of `bench_store --check`: per row, the warm
 /// session returns the cold session's best bit for bit, simulates
-/// nothing and answers every proposal from the store. Returns one line
-/// per violation.
+/// nothing and answers every proposal from the store, and reopening the
+/// log indexes every appended record and skips no line. Returns one
+/// line per violation.
 pub fn check(rows: &[StoreRow]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in rows {
@@ -142,6 +180,19 @@ pub fn check(rows: &[StoreRow]) -> Vec<String> {
                 r.label,
                 r.warm.store_hits(),
                 r.budget
+            ));
+        }
+        let appended = r.cold.appended + r.warm.appended;
+        if r.open_records != appended {
+            violations.push(format!(
+                "{}: reopened log indexes {} records, {} were appended",
+                r.label, r.open_records, appended
+            ));
+        }
+        if r.open_skipped != 0 {
+            violations.push(format!(
+                "{}: reopened log skipped {} lines",
+                r.label, r.open_skipped
             ));
         }
     }
@@ -171,6 +222,9 @@ pub fn to_json(rows: &[StoreRow]) -> String {
                 "      \"warm_store_hits\": {},\n",
                 "      \"warm_rehydrated\": {},\n",
                 "      \"store_bytes\": {},\n",
+                "      \"open_ms\": {:.3},\n",
+                "      \"open_records\": {},\n",
+                "      \"open_skipped\": {},\n",
                 "      \"identical_best\": {}\n",
                 "    }}{}\n",
             ),
@@ -187,6 +241,9 @@ pub fn to_json(rows: &[StoreRow]) -> String {
             r.warm.store_hits(),
             r.warm.rehydrated,
             r.store_bytes,
+            r.open_ms,
+            r.open_records,
+            r.open_skipped,
             r.identical_best,
             if i + 1 == rows.len() { "" } else { "," },
         ));
@@ -217,6 +274,9 @@ mod tests {
         );
         assert_eq!(row.warm.rehydrated, row.cold.appended);
         assert!(row.store_bytes > 0);
+        assert_eq!(row.open_records, row.cold.appended);
+        assert_eq!(row.open_skipped, 0);
+        assert!(check(std::slice::from_ref(&row)).is_empty());
         let json = to_json(&[row]);
         assert!(json.contains("\"warm_evaluations\": 0"), "{json}");
         assert!(json.ends_with("}\n"));

@@ -1,8 +1,9 @@
 //! The `locusd` wire protocol: newline-delimited flat JSON.
 //!
 //! One request per line, one response line per request, over a TCP
-//! stream. The codec is hand-rolled in the same style as the store's
-//! record codec — flat objects only, string values escaped, `f64`
+//! stream. Lines are read by the store's flat-JSON reader
+//! ([`locus_store::record::read_object`]) and written in the same
+//! dialect — flat objects only, string values escaped, `f64`
 //! values carried as exact bit patterns (16 hex digits) with an
 //! approximate `_dec` sibling for human readers, so a tuning result
 //! survives the wire bit-identically.
@@ -13,6 +14,8 @@
 //! connection.
 
 use std::fmt;
+
+use locus_store::record::{read_object, read_string, Field};
 
 /// Hard cap on one request or response line, in bytes (excluding the
 /// newline). Oversized requests are answered with an
@@ -163,17 +166,12 @@ impl Request {
     /// A [`ProtoError`] naming what is wrong, carrying whatever request
     /// id could be salvaged so the error reply still correlates.
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
-        let fields = parse_object(line).ok_or_else(|| ProtoError {
+        let fields = read_line(line).ok_or_else(|| ProtoError {
             id: salvage_id(line),
             code: codes::PARSE,
             message: "request is not a flat JSON object".to_string(),
         })?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        };
+        let get = |key: &str| fields.iter().find(|f| f.key == key).map(|f| &*f.value);
         let id = get("id").unwrap_or_default().to_string();
         let fail = |code: &'static str, message: String| ProtoError {
             id: id.clone(),
@@ -379,19 +377,14 @@ impl Response {
     /// quoted values as [`WireValue::Str`], unquoted integers as
     /// [`WireValue::U64`].
     pub fn parse(line: &str) -> Result<Response, ProtoError> {
-        let fields = parse_object_typed(line).ok_or_else(|| ProtoError {
+        let fields = read_line(line).ok_or_else(|| ProtoError {
             id: String::new(),
             code: codes::PARSE,
             message: "response is not a flat JSON object".to_string(),
         })?;
-        let find = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _, _)| k == key)
-                .map(|(_, v, q)| (v.as_str(), *q))
-        };
-        let id = find("id").map(|(v, _)| v.to_string()).unwrap_or_default();
-        let ok = match find("status").map(|(v, _)| v) {
+        let find = |key: &str| fields.iter().find(|f| f.key == key).map(|f| &*f.value);
+        let id = find("id").unwrap_or_default().to_string();
+        let ok = match find("status") {
             Some("ok") => true,
             Some("error") => false,
             _ => {
@@ -403,24 +396,26 @@ impl Response {
             }
         };
         let mut payload = Vec::new();
-        for (key, value, quoted) in &fields {
+        for Field { key, value, quoted } in &fields {
             if key == "id" || key == "status" || key.ends_with("_dec") {
                 continue;
             }
-            let has_dec = fields.iter().any(|(k, _, _)| *k == format!("{key}_dec"));
+            let has_dec = fields
+                .iter()
+                .any(|f| f.key.strip_suffix("_dec") == Some(&**key));
             let wire = if *quoted && has_dec && value.len() == 16 {
                 match u64::from_str_radix(value, 16) {
                     Ok(bits) => WireValue::F64(f64::from_bits(bits)),
-                    Err(_) => WireValue::Str(value.clone()),
+                    Err(_) => WireValue::Str(value.to_string()),
                 }
             } else if *quoted {
-                WireValue::Str(value.clone())
+                WireValue::Str(value.to_string())
             } else if let Ok(n) = value.parse::<u64>() {
                 WireValue::U64(n)
             } else {
-                WireValue::Str(value.clone())
+                WireValue::Str(value.to_string())
             };
-            payload.push((key.clone(), wire));
+            payload.push((key.to_string(), wire));
         }
         Ok(Response {
             id,
@@ -431,7 +426,7 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Flat JSON codec (same dialect as the store's record codec)
+// Flat JSON codec (the store's dialect; reading is shared with it)
 // ---------------------------------------------------------------------
 
 fn escape(s: &str, out: &mut String) {
@@ -474,59 +469,12 @@ fn finish(mut out: String) -> String {
     out
 }
 
-/// Parses a flat JSON object into `(key, value)` pairs, values as
-/// unescaped text.
-fn parse_object(line: &str) -> Option<Vec<(String, String)>> {
-    parse_object_typed(line).map(|fields| fields.into_iter().map(|(k, v, _)| (k, v)).collect())
-}
-
-/// Like `parse_object` but also reports whether each value was quoted,
-/// which is how the response parser recovers types.
-fn parse_object_typed(line: &str) -> Option<Vec<(String, String, bool)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
+/// Reads one wire line with the store's flat-JSON reader. Unlike a
+/// store line, a wire line may carry nothing after its closing `}`.
+fn read_line(line: &str) -> Option<Vec<Field<'_>>> {
     let mut fields = Vec::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                // Trailing garbage after the object is a malformed line.
-                return if chars.next().is_none() {
-                    Some(fields)
-                } else {
-                    None
-                };
-            }
-            ',' | ' ' => {
-                chars.next();
-            }
-            '"' => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let (value, quoted) = if chars.peek() == Some(&'"') {
-                    (parse_string(&mut chars)?, true)
-                } else {
-                    let mut raw = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c == ',' || c == '}' {
-                            break;
-                        }
-                        raw.push(c);
-                        chars.next();
-                    }
-                    (raw.trim().to_string(), false)
-                };
-                fields.push((key, value, quoted));
-            }
-            _ => return None,
-        }
-    }
+    let tail = read_object(line, |field| fields.push(field))?;
+    tail.is_empty().then_some(fields)
 }
 
 /// Best-effort id extraction from a line that failed to parse, so even
@@ -535,42 +483,9 @@ fn salvage_id(line: &str) -> String {
     let Some(pos) = line.find("\"id\":") else {
         return String::new();
     };
-    let mut chars = line[pos + 5..].trim_start().chars().peekable();
-    parse_string(&mut chars).unwrap_or_default()
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek() == Some(&' ') {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
+    read_string(line[pos + 5..].trim_start())
+        .map(|(id, _)| id.into_owned())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]

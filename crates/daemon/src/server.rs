@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,9 +53,13 @@ use locus_trace::{tag_events, to_jsonl, Tracer};
 use crate::protocol::{codes, Op, Request, Response, MAX_LINE};
 use crate::sched::FairScheduler;
 
-/// How long blocked reads and accepts wait before re-checking the
-/// shutdown flag; bounds daemon stop latency.
+/// How long blocked reads wait before re-checking the shutdown flag;
+/// bounds daemon stop latency. Accepts block outright: stopping wakes
+/// them with a loopback connection ([`wake_accept`]).
 const POLL: Duration = Duration::from_millis(50);
+
+/// The longest the shutdown wake-up connection may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone)]
@@ -111,12 +115,13 @@ struct Shared {
     shutdown: Arc<AtomicBool>,
     trace: Option<Mutex<std::fs::File>>,
     next_conn: AtomicU64,
+    /// The listener's own address, dialled to wake a blocked accept.
+    addr: SocketAddr,
 }
 
 impl Shared {
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.sched.shutdown();
+        begin_shutdown(&self.shutdown, &self.sched, self.addr);
     }
 
     /// Tags a finished request's trace events with its id and appends
@@ -132,9 +137,31 @@ impl Shared {
     }
 }
 
+/// Raises the shutdown flag, closes the scheduler, and wakes the accept
+/// loop so it sees the flag.
+fn begin_shutdown(flag: &AtomicBool, sched: &FairScheduler<Job>, addr: SocketAddr) {
+    flag.store(true, Ordering::SeqCst);
+    sched.shutdown();
+    wake_accept(addr);
+}
+
+/// Wakes an accept blocked on the listener bound to `addr` by
+/// connecting to it: over loopback when the daemon listens on every
+/// interface. A listener that is already gone refuses at once.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
+}
+
 /// A running `locusd` instance; stops (and joins its threads) on drop.
 pub struct Daemon {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     sched: Arc<FairScheduler<Job>>,
     shutdown: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -183,6 +210,7 @@ impl Daemon {
             shutdown: shutdown.clone(),
             trace,
             next_conn: AtomicU64::new(0),
+            addr,
         };
         let handle = std::thread::spawn(move || {
             std::thread::scope(|scope| {
@@ -201,16 +229,15 @@ impl Daemon {
     }
 
     /// The bound listen address (resolves ephemeral ports).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Requests shutdown and joins every service thread. Queued but
     /// unstarted requests are dropped; in-flight requests finish first.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.sched.shutdown();
         if let Some(handle) = self.handle.take() {
+            begin_shutdown(&self.shutdown, &self.sched, self.addr);
             let _ = handle.join();
         }
     }
@@ -231,25 +258,25 @@ impl Drop for Daemon {
 }
 
 /// Accepts connections until shutdown, spawning one scoped reader
-/// thread per connection.
+/// thread per connection. The accept blocks; shutdown wakes it with a
+/// connection of its own ([`wake_accept`]), which is dropped unserved.
 fn accept_loop<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     shared: &'scope Shared,
     listener: TcpListener,
 ) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
                 scope.spawn(move || serve_connection(shared, conn, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            // Out of descriptors or an aborted handshake: back off
+            // instead of spinning.
             Err(_) => std::thread::sleep(POLL),
         }
     }

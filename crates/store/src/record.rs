@@ -21,7 +21,11 @@
 //! identical* values, or cross-session determinism of the search
 //! trajectory would silently break. The codec is hand-rolled (the
 //! workspace has no serde) and tolerant: unknown keys are ignored and
-//! unknown kinds are skipped, so the format can grow.
+//! unknown kinds are skipped, so the format can grow. Decoding reads
+//! each line in one borrowed pass ([`read_object`]); the `locusd` wire
+//! protocol reads its lines with the same reader.
+
+use std::borrow::Cow;
 
 use locus_search::Objective;
 
@@ -266,78 +270,165 @@ fn finish(mut out: String) -> String {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Parses a flat JSON object into key/value pairs. String values are
-/// unescaped; everything else (numbers, booleans) is kept verbatim.
-fn parse_object(line: &str) -> Option<Vec<(String, String)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
+/// One `"key": value` pair of a flat JSON object. Both sides borrow the
+/// line they were read from unless their text held an escape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Field<'a> {
+    /// The unescaped key.
+    pub key: Cow<'a, str>,
+    /// A string value unescaped; any other value (a number, a boolean)
+    /// verbatim, with surrounding whitespace trimmed.
+    pub value: Cow<'a, str>,
+    /// Whether the value was a quoted string.
+    pub quoted: bool,
+}
+
+/// Reads one flat JSON object — the dialect of store lines and of the
+/// `locusd` wire — in a single pass over its bytes, handing each field
+/// to `visit` in line order. Returns the text after the closing `}`,
+/// which the store ignores and the wire refuses, or `None` when the line
+/// is not such an object (whatever was visited before then is moot).
+///
+/// The dialect is lenient: the line is trimmed, any run of commas and
+/// spaces separates fields, spaces around `:` are accepted, and an
+/// unquoted value runs to the next `,` or `}`.
+pub fn read_object<'a>(line: &'a str, mut visit: impl FnMut(Field<'a>)) -> Option<&'a str> {
+    let mut rest = line.trim().strip_prefix('{')?;
     loop {
-        match chars.peek()? {
-            '}' => return Some(fields),
-            ',' | ' ' => {
-                chars.next();
-            }
-            '"' => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let value = if chars.peek() == Some(&'"') {
-                    parse_string(&mut chars)?
+        match *rest.as_bytes().first()? {
+            b'}' => return Some(&rest[1..]),
+            b',' | b' ' => rest = &rest[1..],
+            b'"' => {
+                let (key, after) = read_string(rest)?;
+                let after = after.trim_start_matches(' ').strip_prefix(':')?;
+                let after = after.trim_start_matches(' ');
+                let (value, quoted, after) = if after.starts_with('"') {
+                    let (value, after) = read_string(after)?;
+                    (value, true, after)
                 } else {
-                    let mut raw = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c == ',' || c == '}' {
-                            break;
-                        }
-                        raw.push(c);
-                        chars.next();
-                    }
-                    raw.trim().to_string()
+                    let end = after
+                        .bytes()
+                        .position(|b| b == b',' || b == b'}')
+                        .unwrap_or(after.len());
+                    (Cow::Borrowed(after[..end].trim()), false, &after[end..])
                 };
-                fields.push((key, value));
+                visit(Field { key, value, quoted });
+                rest = after;
             }
             _ => return None,
         }
     }
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek() == Some(&' ') {
-        chars.next();
+/// Reads the JSON string literal `text` starts with, returning its
+/// unescaped contents and the text after the closing quote. The
+/// contents borrow `text` unless they hold an escape. The escapes are
+/// `\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` (no surrogates); any other,
+/// or a missing closing quote, is `None`.
+pub fn read_string(text: &str) -> Option<(Cow<'_, str>, &str)> {
+    let mut rest = text.strip_prefix('"')?;
+    // Allocated at the first escape; until then the contents borrow.
+    let mut owned: Option<String> = None;
+    loop {
+        let stop = rest.bytes().position(|b| b == b'"' || b == b'\\')?;
+        let (plain, tail) = rest.split_at(stop);
+        if let Some(after) = tail.strip_prefix('"') {
+            let contents = match owned {
+                None => Cow::Borrowed(plain),
+                Some(mut out) => {
+                    out.push_str(plain);
+                    Cow::Owned(out)
+                }
+            };
+            return Some((contents, after));
+        }
+        let out = owned.get_or_insert_with(String::new);
+        out.push_str(plain);
+        let (unescaped, width) = match *tail.as_bytes().get(1)? {
+            b'"' => ('"', 2),
+            b'\\' => ('\\', 2),
+            b'n' => ('\n', 2),
+            b'r' => ('\r', 2),
+            b't' => ('\t', 2),
+            b'u' => {
+                let hex = tail.get(2..6)?;
+                if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return None;
+                }
+                (char::from_u32(u32::from_str_radix(hex, 16).ok()?)?, 6)
+            }
+            _ => return None,
+        };
+        out.push(unescaped);
+        rest = &tail[width..];
     }
 }
 
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
+/// The fields [`decode`] reads. The first occurrence of a key wins.
+#[derive(Default)]
+struct Fields<'a> {
+    kind: Option<Cow<'a, str>>,
+    regions: Option<Cow<'a, str>>,
+    machine: Option<Cow<'a, str>>,
+    space: Option<Cow<'a, str>>,
+    point: Option<Cow<'a, str>>,
+    variant: Option<Cow<'a, str>>,
+    obj: Option<Cow<'a, str>>,
+    ms: Option<Cow<'a, str>>,
+    cycles: Option<Cow<'a, str>>,
+    ops: Option<Cow<'a, str>>,
+    flops: Option<Cow<'a, str>>,
+    checksum: Option<Cow<'a, str>>,
+    search: Option<Cow<'a, str>>,
+    wall_ms: Option<Cow<'a, str>>,
+    reason: Option<Cow<'a, str>>,
+    provenance: Option<Cow<'a, str>>,
+    region: Option<Cow<'a, str>>,
+    depth: Option<Cow<'a, str>>,
+    perfect: Option<Cow<'a, str>>,
+    deps: Option<Cow<'a, str>>,
+    inner: Option<Cow<'a, str>>,
+    vec: Option<Cow<'a, str>>,
+    best_point: Option<Cow<'a, str>>,
+    best_ms: Option<Cow<'a, str>>,
+    recipe: Option<Cow<'a, str>>,
+}
+
+impl<'a> Fields<'a> {
+    fn read(line: &'a str) -> Option<Fields<'a>> {
+        let mut f = Fields::default();
+        read_object(line, |field| {
+            let slot = match &*field.key {
+                "kind" => &mut f.kind,
+                "regions" => &mut f.regions,
+                "machine" => &mut f.machine,
+                "space" => &mut f.space,
+                "point" => &mut f.point,
+                "variant" => &mut f.variant,
+                "obj" => &mut f.obj,
+                "ms" => &mut f.ms,
+                "cycles" => &mut f.cycles,
+                "ops" => &mut f.ops,
+                "flops" => &mut f.flops,
+                "checksum" => &mut f.checksum,
+                "search" => &mut f.search,
+                "wall_ms" => &mut f.wall_ms,
+                "reason" => &mut f.reason,
+                "provenance" => &mut f.provenance,
+                "region" => &mut f.region,
+                "depth" => &mut f.depth,
+                "perfect" => &mut f.perfect,
+                "deps" => &mut f.deps,
+                "inner" => &mut f.inner,
+                "vec" => &mut f.vec,
+                "best_point" => &mut f.best_point,
+                "best_ms" => &mut f.best_ms,
+                "recipe" => &mut f.recipe,
+                _ => return,
+            };
+            slot.get_or_insert(field.value);
+        })?;
+        Some(f)
     }
 }
 
@@ -345,86 +436,113 @@ fn hex64(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
-fn parse_key(get: &impl Fn(&str) -> Option<String>) -> Option<crate::StoreKey> {
-    let mut regions = Vec::new();
-    for entry in get("regions")?.split(',') {
-        if entry.is_empty() {
-            continue;
+fn bits(s: &str) -> Option<f64> {
+    hex64(s).map(f64::from_bits)
+}
+
+/// A line's group key as written. Consecutive lines of one group repeat
+/// it, so [`crate::TuningStore`] parses it once per run of equal text.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct KeyText<'a> {
+    regions: Cow<'a, str>,
+    machine: Cow<'a, str>,
+    space: Cow<'a, str>,
+}
+
+impl KeyText<'_> {
+    /// Parses the key; `None` when any part is malformed.
+    pub(crate) fn parse(&self) -> Option<crate::StoreKey> {
+        let mut regions = Vec::new();
+        for entry in self.regions.split(',') {
+            if entry.is_empty() {
+                continue;
+            }
+            let (id, hash) = entry.rsplit_once(':')?;
+            regions.push((id.to_string(), hex64(hash)?));
         }
-        let (id, hash) = entry.rsplit_once(':')?;
-        regions.push((id.to_string(), hex64(hash)?));
+        Some(crate::StoreKey::new(
+            regions,
+            hex64(&self.machine)?,
+            hex64(&self.space)?,
+        ))
     }
-    Some(crate::StoreKey::new(
-        regions,
-        hex64(&get("machine")?)?,
-        hex64(&get("space")?)?,
-    ))
+}
+
+/// A decoded record without its group key.
+pub(crate) enum Body {
+    Eval(EvalRecord),
+    Prune(PruneRecord),
+    Session(SessionRecord),
+}
+
+/// Decodes one store line into its raw group key and its record, or
+/// `None` for a line [`decode`] would skip.
+pub(crate) fn decode_parts(line: &str) -> Option<(KeyText<'_>, Body)> {
+    let f = Fields::read(line)?;
+    let key = KeyText {
+        regions: f.regions?,
+        machine: f.machine?,
+        space: f.space?,
+    };
+    let body = match &*f.kind? {
+        "eval" => {
+            let objective = match &*f.obj? {
+                "V" => Objective::Value(bits(&f.ms?)?),
+                "I" => Objective::Invalid,
+                "E" => Objective::Error,
+                _ => return None,
+            };
+            Body::Eval(EvalRecord {
+                point_key: f.point?.into_owned(),
+                variant: hex64(&f.variant?)?,
+                objective,
+                cycles: bits(&f.cycles?)?,
+                ops: f.ops?.parse().ok()?,
+                flops: f.flops?.parse().ok()?,
+                checksum: hex64(&f.checksum?)?,
+                search: f.search?.into_owned(),
+                wall_ms: f.wall_ms?.parse().ok()?,
+            })
+        }
+        "prune" => Body::Prune(PruneRecord {
+            point_key: f.point?.into_owned(),
+            variant: hex64(&f.variant?)?,
+            reason: f.reason?.into_owned(),
+            provenance: f
+                .provenance
+                .map_or_else(|| "conservative".to_string(), Cow::into_owned),
+            search: f.search?.into_owned(),
+        }),
+        "session" => Body::Session(SessionRecord {
+            region: f.region?.into_owned(),
+            shape: RegionShape {
+                depth: f.depth?.parse().ok()?,
+                perfect: f.perfect? == "true",
+                deps_available: f.deps? == "true",
+                inner_loops: f.inner?.parse().ok()?,
+                vectorizable: f.vec? == "true",
+            },
+            best_point: f.best_point?.into_owned(),
+            best_ms: bits(&f.best_ms?)?,
+            recipe: f.recipe?.into_owned(),
+            search: f.search?.into_owned(),
+        }),
+        _ => return None,
+    };
+    Some((key, body))
 }
 
 /// Decodes one store line. Returns `None` for lines this version does
 /// not understand (malformed, or a future record kind) — callers skip
 /// them so old binaries tolerate newer files.
 pub fn decode(line: &str) -> Option<Record> {
-    let fields = parse_object(line)?;
-    let get = |key: &str| -> Option<String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    };
-    let key = parse_key(&get)?;
-    match get("kind")?.as_str() {
-        "eval" => {
-            let objective = match get("obj")?.as_str() {
-                "V" => Objective::Value(f64::from_bits(hex64(&get("ms")?)?)),
-                "I" => Objective::Invalid,
-                "E" => Objective::Error,
-                _ => return None,
-            };
-            Some(Record::Eval {
-                key,
-                record: EvalRecord {
-                    point_key: get("point")?,
-                    variant: hex64(&get("variant")?)?,
-                    objective,
-                    cycles: f64::from_bits(hex64(&get("cycles")?)?),
-                    ops: get("ops")?.parse().ok()?,
-                    flops: get("flops")?.parse().ok()?,
-                    checksum: hex64(&get("checksum")?)?,
-                    search: get("search")?,
-                    wall_ms: get("wall_ms")?.parse().ok()?,
-                },
-            })
-        }
-        "prune" => Some(Record::Prune {
-            key,
-            record: PruneRecord {
-                point_key: get("point")?,
-                variant: hex64(&get("variant")?)?,
-                reason: get("reason")?,
-                provenance: get("provenance").unwrap_or_else(|| "conservative".into()),
-                search: get("search")?,
-            },
-        }),
-        "session" => Some(Record::Session {
-            key,
-            record: SessionRecord {
-                region: get("region")?,
-                shape: RegionShape {
-                    depth: get("depth")?.parse().ok()?,
-                    perfect: get("perfect")? == "true",
-                    deps_available: get("deps")? == "true",
-                    inner_loops: get("inner")?.parse().ok()?,
-                    vectorizable: get("vec")? == "true",
-                },
-                best_point: get("best_point")?,
-                best_ms: f64::from_bits(hex64(&get("best_ms")?)?),
-                recipe: get("recipe")?,
-                search: get("search")?,
-            },
-        }),
-        _ => None,
-    }
+    let (key_text, body) = decode_parts(line)?;
+    let key = key_text.parse()?;
+    Some(match body {
+        Body::Eval(record) => Record::Eval { key, record },
+        Body::Prune(record) => Record::Prune { key, record },
+        Body::Session(record) => Record::Session { key, record },
+    })
 }
 
 #[cfg(test)]
@@ -586,6 +704,134 @@ mod tests {
         );
         line = line.replace("\"kind\":\"eval\"", "\"kind\":\"v2-hologram\"");
         assert!(decode(&line).is_none(), "future kinds skip, not crash");
+    }
+
+    /// Random text over an alphabet of everything the codec must
+    /// escape or could mistake for structure.
+    fn hostile(rng: &mut locus_space::SplitMix64) -> String {
+        const ALPHABET: [char; 20] = [
+            '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '{', '}', ',', ':', ' ', 'u', 'a', '0',
+            '=', ';', 'é', '\u{2028}', '😀',
+        ];
+        (0..rng.below_usize(12))
+            .map(|_| ALPHABET[rng.below_usize(ALPHABET.len())])
+            .collect()
+    }
+
+    /// A finite `f64` from random bits (NaN would defeat `==`).
+    fn any_f64(rng: &mut locus_space::SplitMix64) -> f64 {
+        let x = f64::from_bits(rng.next_u64());
+        if x.is_nan() {
+            0.5
+        } else {
+            x
+        }
+    }
+
+    #[test]
+    fn random_hostile_records_round_trip_and_their_prefixes_do_not_decode() {
+        let mut rng = locus_space::SplitMix64::new(0x10c5);
+        for _ in 0..256 {
+            let regions = (0..rng.below_usize(3))
+                .map(|i| (format!("r{i}:{}", rng.below(9)), rng.next_u64()))
+                .collect();
+            let key = crate::StoreKey::new(regions, rng.next_u64(), rng.next_u64());
+            let objective = match rng.below(3) {
+                0 => Objective::Value(any_f64(&mut rng)),
+                1 => Objective::Invalid,
+                _ => Objective::Error,
+            };
+            let eval = EvalRecord {
+                point_key: hostile(&mut rng),
+                variant: rng.next_u64(),
+                objective,
+                cycles: any_f64(&mut rng),
+                ops: rng.next_u64(),
+                flops: rng.next_u64(),
+                checksum: rng.next_u64(),
+                search: hostile(&mut rng),
+                // `wall_ms` is written with six decimals.
+                wall_ms: rng.below(1 << 40) as f64 / 1e6,
+            };
+            let prune = PruneRecord {
+                point_key: hostile(&mut rng),
+                variant: rng.next_u64(),
+                reason: hostile(&mut rng),
+                provenance: hostile(&mut rng),
+                search: hostile(&mut rng),
+            };
+            let session = SessionRecord {
+                region: hostile(&mut rng),
+                shape: RegionShape {
+                    depth: rng.below_usize(9),
+                    perfect: rng.chance(0.5),
+                    deps_available: rng.chance(0.5),
+                    inner_loops: rng.below_usize(9),
+                    vectorizable: rng.chance(0.5),
+                },
+                best_point: hostile(&mut rng),
+                best_ms: any_f64(&mut rng),
+                recipe: hostile(&mut rng),
+                search: hostile(&mut rng),
+            };
+            let cases = [
+                (
+                    encode_eval(&key, &eval),
+                    Record::Eval {
+                        key: key.clone(),
+                        record: eval,
+                    },
+                ),
+                (
+                    encode_prune(&key, &prune),
+                    Record::Prune {
+                        key: key.clone(),
+                        record: prune,
+                    },
+                ),
+                (
+                    encode_session(&key, &session),
+                    Record::Session {
+                        key: key.clone(),
+                        record: session,
+                    },
+                ),
+            ];
+            for (line, record) in cases {
+                assert!(!line.contains('\n'), "one record per line: {line:?}");
+                assert_eq!(decode(&line), Some(record), "{line:?}");
+                for (cut, _) in line.char_indices() {
+                    assert_eq!(decode(&line[..cut]), None, "prefix of {line:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reader_borrows_plain_text_and_hands_back_the_tail() {
+        let mut fields = Vec::new();
+        let tail = read_object(r#" {"a" : "x\"y", ,"b":12 ,"c":"plain"} rest "#, |f| {
+            fields.push(f)
+        });
+        assert_eq!(tail, Some(" rest"));
+        let view: Vec<(&str, &str, bool)> = fields
+            .iter()
+            .map(|f| (&*f.key, &*f.value, f.quoted))
+            .collect();
+        assert_eq!(
+            view,
+            [
+                ("a", "x\"y", true),
+                ("b", "12", false),
+                ("c", "plain", true)
+            ]
+        );
+        assert!(matches!(fields[2].value, Cow::Borrowed(_)));
+        assert!(matches!(fields[0].value, Cow::Owned(_)));
+        assert_eq!(read_string(r#""é\t" tail"#), Some(("é\t".into(), " tail")));
+        for bad in [r#""\ud800""#, r#""\u+123""#, r#""\x""#, r#""open"#, "bare"] {
+            assert_eq!(read_string(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The persistent store: an append-only JSONL log plus a compact
 //! in-memory index.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -10,8 +10,8 @@ use crate::lock::StoreLock;
 use locus_space::Point;
 
 use crate::record::{
-    decode, encode_eval, encode_prune, encode_session, EvalRecord, PruneRecord, Record,
-    RegionShape, SessionRecord, HEADER,
+    decode_parts, encode_eval, encode_prune, encode_session, Body, EvalRecord, KeyText,
+    PruneRecord, RegionShape, SessionRecord, HEADER,
 };
 
 /// The identity of a tuning context: which code (region hashes), which
@@ -47,9 +47,29 @@ impl StoreKey {
 #[derive(Debug, Default)]
 struct Group {
     records: Vec<EvalRecord>,
-    by_point: HashMap<String, usize>,
+    points: HashSet<String>,
     prunes: Vec<PruneRecord>,
-    pruned_points: std::collections::HashSet<String>,
+    pruned_points: HashSet<String>,
+}
+
+impl Group {
+    /// Indexes an evaluation unless the group already holds its point.
+    fn insert_eval(&mut self, record: EvalRecord) -> bool {
+        if !self.points.insert(record.point_key.clone()) {
+            return false;
+        }
+        self.records.push(record);
+        true
+    }
+
+    /// Indexes a prune unless the group already holds one for its point.
+    fn insert_prune(&mut self, record: PruneRecord) -> bool {
+        if !self.pruned_points.insert(record.point_key.clone()) {
+            return false;
+        }
+        self.prunes.push(record);
+        true
+    }
 }
 
 /// A persistent, append-only tuning-results database.
@@ -72,6 +92,9 @@ pub struct TuningStore {
     /// drop.
     lock: Option<StoreLock>,
     read_only: bool,
+    /// The log ends inside a line (a torn write): the next append
+    /// starts a fresh line first, so it cannot glue onto the torn one.
+    torn_tail: bool,
 }
 
 /// What [`TuningStore::compact`] did to the on-disk log.
@@ -133,6 +156,7 @@ impl TuningStore {
             skipped_lines: 0,
             lock: None,
             read_only: true,
+            torn_tail: false,
         };
         store.load_text(&text)?;
         Ok(store)
@@ -147,9 +171,13 @@ impl TuningStore {
             skipped_lines: 0,
             lock: None,
             read_only: false,
+            torn_tail: false,
         };
         match std::fs::read_to_string(&path) {
-            Ok(text) => store.load(&text)?,
+            Ok(text) => {
+                store.load(&text)?;
+                store.torn_tail = !text.is_empty() && !text.ends_with('\n');
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 std::fs::write(&path, format!("{HEADER}\n"))?;
             }
@@ -179,43 +207,42 @@ impl TuningStore {
                 ));
             }
         }
+        // Runs of lines share one group key: parse its text and find its
+        // group once per run rather than once per line.
+        let mut run: Option<(KeyText<'_>, StoreKey)> = None;
+        let mut group: Option<&mut Group> = None;
         for line in lines {
             if line.trim().is_empty() {
                 continue;
             }
-            match decode(line) {
-                Some(Record::Eval { key, record }) => {
-                    self.index_eval(key, record);
-                }
-                Some(Record::Prune { key, record }) => {
-                    self.index_prune(key, record);
-                }
-                Some(Record::Session { key, record }) => self.sessions.push((key, record)),
-                None => self.skipped_lines += 1,
+            let Some((text, body)) = decode_parts(line) else {
+                self.skipped_lines += 1;
+                continue;
+            };
+            if run.as_ref().is_none_or(|(last, _)| *last != text) {
+                let Some(key) = text.parse() else {
+                    self.skipped_lines += 1;
+                    continue;
+                };
+                run = Some((text, key));
+                group = None;
             }
+            let key = &run.as_ref().expect("set above").1;
+            if let Body::Session(record) = body {
+                self.sessions.push((key.clone(), record));
+                continue;
+            }
+            if group.is_none() {
+                group = Some(self.groups.entry(key.clone()).or_default());
+            }
+            let group = group.as_mut().expect("set above");
+            match body {
+                Body::Eval(record) => group.insert_eval(record),
+                Body::Prune(record) => group.insert_prune(record),
+                Body::Session(_) => unreachable!("sessions index above"),
+            };
         }
         Ok(())
-    }
-
-    fn index_eval(&mut self, key: StoreKey, record: EvalRecord) -> bool {
-        let group = self.groups.entry(key).or_default();
-        if group.by_point.contains_key(&record.point_key) {
-            return false;
-        }
-        group
-            .by_point
-            .insert(record.point_key.clone(), group.records.len());
-        group.records.push(record);
-        true
-    }
-
-    fn index_prune(&mut self, key: StoreKey, record: PruneRecord) -> bool {
-        let group = self.groups.entry(key).or_default();
-        if !group.pruned_points.insert(record.point_key.clone()) {
-            return false;
-        }
-        group.prunes.push(record);
-        true
     }
 
     /// The store file path.
@@ -282,10 +309,14 @@ impl TuningStore {
     /// I/O errors of the underlying append.
     pub fn append_evals(&mut self, key: &StoreKey, records: &[EvalRecord]) -> io::Result<usize> {
         self.require_writable()?;
+        if records.is_empty() {
+            return Ok(0);
+        }
+        let group = self.groups.entry(key.clone()).or_default();
         let mut lines = String::new();
         let mut appended = 0;
         for record in records {
-            if self.index_eval(key.clone(), record.clone()) {
+            if group.insert_eval(record.clone()) {
                 lines.push_str(&encode_eval(key, record));
                 lines.push('\n');
                 appended += 1;
@@ -305,10 +336,14 @@ impl TuningStore {
     /// I/O errors of the underlying append.
     pub fn append_prunes(&mut self, key: &StoreKey, records: &[PruneRecord]) -> io::Result<usize> {
         self.require_writable()?;
+        if records.is_empty() {
+            return Ok(0);
+        }
+        let group = self.groups.entry(key.clone()).or_default();
         let mut lines = String::new();
         let mut appended = 0;
         for record in records {
-            if self.index_prune(key.clone(), record.clone()) {
+            if group.insert_prune(record.clone()) {
                 lines.push_str(&encode_prune(key, record));
                 lines.push('\n');
                 appended += 1;
@@ -334,12 +369,16 @@ impl TuningStore {
         Ok(())
     }
 
-    fn append_raw(&self, text: &str) -> io::Result<()> {
+    fn append_raw(&mut self, text: &str) -> io::Result<()> {
         self.require_writable()?;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
+        if self.torn_tail {
+            file.write_all(b"\n")?;
+            self.torn_tail = false;
+        }
         file.write_all(text.as_bytes())
     }
 
@@ -407,6 +446,7 @@ impl TuningStore {
         std::fs::write(&tmp, &text)?;
         std::fs::rename(&tmp, &self.path)?;
         self.skipped_lines = 0;
+        self.torn_tail = false;
         stats.bytes_after = text.len() as u64;
         Ok(stats)
     }

@@ -51,7 +51,8 @@ cargo test -q --offline --locked --manifest-path crates/bench/src/bin/locus-benc
 
 # Store bench in check mode: the warm session must return the cold
 # session's best bit for bit, simulate nothing and answer one store hit
-# per unit of budget.
+# per unit of budget, and reopening the log must index every appended
+# record and skip no line.
 ./target/release/bench_store /tmp/locus_bench_store.json --check
 
 # Daemon bench smoke in check mode: zero error replies, the warm phase

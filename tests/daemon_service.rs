@@ -337,6 +337,44 @@ fn shutdown_op_stops_the_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The accept loop blocks instead of polling, so stopping must wake it:
+/// `Daemon::stop` and a client `shutdown` each return promptly, also
+/// for a daemon listening on every interface.
+#[test]
+fn stop_and_shutdown_wake_the_blocked_accept_promptly() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let dir = scratch("wake");
+        let config = DaemonConfig {
+            addr: addr.to_string(),
+            ..DaemonConfig::new(dir.join("store.d"))
+        };
+        let mut daemon = Daemon::start(config.clone()).unwrap();
+        let port = daemon.addr().port();
+        let mut client = Client::connect(("127.0.0.1", port)).unwrap();
+        assert!(client.ping("up").unwrap());
+        let started = std::time::Instant::now();
+        daemon.stop();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "stop on {addr} took {:?}",
+            started.elapsed()
+        );
+
+        let mut daemon = Daemon::start(config).unwrap();
+        let port = daemon.addr().port();
+        let mut client = Client::connect(("127.0.0.1", port)).unwrap();
+        let started = std::time::Instant::now();
+        assert!(client.shutdown("bye").unwrap().ok);
+        daemon.join();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "shutdown on {addr} took {:?}",
+            started.elapsed()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// The daemon's supervised result path and the tracer interact: a
 /// traced daemon still answers bit-identically (tracing must never
 /// perturb tuning).

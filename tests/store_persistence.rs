@@ -16,8 +16,9 @@ use std::path::PathBuf;
 use locus::lang::LocusProgram;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::ExhaustiveSearch;
+use locus::search::Objective;
 use locus::srcir::ast::Program;
-use locus::store::TuningStore;
+use locus::store::{EvalRecord, StoreKey, TuningStore};
 use locus::system::{
     check_coherence, region_hashes, LocusSystem, StoreHandle, TuneReport, TuneRequest, TuneResult,
 };
@@ -355,4 +356,108 @@ fn sharded_store_sessions_match_single_file_sessions() {
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every part of a store's index in a stable order: what decoding a
+/// pinned log must keep reproducing.
+fn dump_index(store: &TuningStore) -> String {
+    let mut out = format!(
+        "skipped_lines {}\nevals {}\n",
+        store.skipped_lines(),
+        store.len()
+    );
+    for key in store.keys() {
+        out.push_str(&format!("key {key:?}\n"));
+        for record in store.evals(key) {
+            out.push_str(&format!("  eval {record:?}\n"));
+        }
+        for record in store.prunes(key) {
+            out.push_str(&format!("  prune {record:?}\n"));
+        }
+    }
+    for (key, record) in store.sessions() {
+        out.push_str(&format!("session {key:?} {record:?}\n"));
+    }
+    out
+}
+
+/// `tests/fixtures/store_v1.jsonl` holds lines an older encoder wrote
+/// plus hand-edited ones: `\u`, quote and backslash escapes, a prune
+/// without `provenance`, an unknown kind, garbage, duplicate keys in one
+/// line, a duplicate point, spaces around separators, text after `}`,
+/// a malformed group key and a line cut short. Its index is pinned in
+/// `store_v1.index.txt` (`LOCUS_BLESS=1` rewrites it), so a decoder
+/// change cannot move what an existing log means.
+#[test]
+fn pinned_log_decodes_to_its_pinned_index() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let store = TuningStore::open_read_only(dir.join("store_v1.jsonl")).unwrap();
+    let dump = dump_index(&store);
+    let golden = dir.join("store_v1.index.txt");
+    if std::env::var("LOCUS_BLESS").is_ok() {
+        std::fs::write(&golden, &dump).unwrap();
+    }
+    let want = std::fs::read_to_string(&golden).expect("fixture exists (LOCUS_BLESS=1 to create)");
+    assert_eq!(dump, want, "the pinned log decodes differently");
+}
+
+/// A torn write: the log is cut at every byte offset of its last
+/// appended batch. Each cut reopens to exactly the records whose lines
+/// are whole, and the next append starts a fresh line, so the appended
+/// record survives a reopen and never merges with the torn one.
+#[test]
+fn appends_after_a_torn_tail_start_a_fresh_line() {
+    let path = tmp_path("torn-tail");
+    std::fs::remove_file(&path).ok();
+    let key = StoreKey::new(vec![("mm".into(), 0xa7c2_3818)], 0x1f6c, 0x2445);
+    let record = |i: u64| EvalRecord {
+        point_key: format!("tileI=i{i};tileJ=i4;"),
+        variant: 0x5768_d30c ^ i,
+        objective: Objective::Value(0.25 + i as f64),
+        cycles: 1000.0 * i as f64,
+        ops: 36470,
+        flops: 2048,
+        checksum: 0x286c_bc3c,
+        search: "exhaustive".into(),
+        wall_ms: 0.125,
+    };
+    let all: Vec<EvalRecord> = (0..4).map(record).collect();
+    let batch_start = {
+        let mut store = TuningStore::open(&path).unwrap();
+        store.append_evals(&key, &all[..2]).unwrap();
+        let start = std::fs::metadata(&path).unwrap().len() as usize;
+        store.append_evals(&key, &all[2..]).unwrap();
+        start
+    };
+    let full = std::fs::read(&path).unwrap();
+    // Where each record's line ends; the first newline ends the header.
+    let line_ends: Vec<usize> = (0..full.len())
+        .filter(|&i| full[i] == b'\n')
+        .skip(1)
+        .collect();
+    let fresh = record(99);
+    for cut in batch_start..full.len() {
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let whole = line_ends.iter().filter(|&&end| end <= cut).count();
+        let mut store = TuningStore::open(&path).unwrap();
+        assert_eq!(store.evals(&key), &all[..whole], "cut at byte {cut}");
+        assert!(store.skipped_lines() <= 1, "cut at byte {cut}");
+        store
+            .append_evals(&key, std::slice::from_ref(&fresh))
+            .unwrap();
+        drop(store);
+
+        let store = TuningStore::open(&path).unwrap();
+        let mut want = all[..whole].to_vec();
+        want.push(fresh.clone());
+        assert_eq!(
+            store.evals(&key),
+            want.as_slice(),
+            "append after a cut at byte {cut}"
+        );
+        assert_eq!(store.len(), want.len(), "no record of mixed lines");
+        assert!(store.prunes(&key).is_empty() && store.sessions().next().is_none());
+        assert!(store.skipped_lines() <= 1, "cut at byte {cut}");
+    }
+    std::fs::remove_file(&path).ok();
 }
