@@ -83,6 +83,11 @@ pub struct SearchRow {
     pub budget: usize,
     /// Distinct evaluations the module actually spent.
     pub evaluations: usize,
+    /// Proposals the driver resolved (`TuneReport::proposed`): the
+    /// evaluations plus every duplicate and refused proposal before the
+    /// session stopped. Deterministic and independent of the thread
+    /// count.
+    pub proposed: usize,
     /// Best objective (simulated ms) this module reached.
     pub best_value: f64,
     /// Best objective any module reached on this entry.
@@ -121,7 +126,7 @@ pub fn run_entries(entries: &[CorpusEntry], budget: usize, threads: usize) -> Ve
         let mut runs = Vec::new();
         for module in MODULES {
             let mut search = make_module(module);
-            let (result, _) = system
+            let (result, report) = system
                 .tune_parallel(
                     &entry.program,
                     &locus,
@@ -132,13 +137,13 @@ pub fn run_entries(entries: &[CorpusEntry], budget: usize, threads: usize) -> Ve
                     },
                 )
                 .unwrap_or_else(|e| panic!("{}/{module}: tuning failed: {e}", entry.name));
-            runs.push((module, result));
+            runs.push((module, result, report.proposed));
         }
         let best_known = runs
             .iter()
-            .filter_map(|(_, r)| r.outcome.best.as_ref().map(|(_, v)| *v))
+            .filter_map(|(_, r, _)| r.outcome.best.as_ref().map(|(_, v)| *v))
             .fold(f64::INFINITY, f64::min);
-        for (module, result) in runs {
+        for (module, result, proposed) in runs {
             // Objectives are cache-shared, so "reached best-known" is
             // exact equality of the measured value.
             let reached_at = result
@@ -154,6 +159,7 @@ pub fn run_entries(entries: &[CorpusEntry], budget: usize, threads: usize) -> Ve
                 space_size: result.space_size,
                 budget,
                 evaluations: result.outcome.evaluations,
+                proposed,
                 best_value: result
                     .outcome
                     .best
@@ -270,6 +276,7 @@ pub fn to_json(rows: &[SearchRow]) -> String {
                 "      \"space_size\": {},\n",
                 "      \"budget\": {},\n",
                 "      \"evaluations\": {},\n",
+                "      \"proposed\": {},\n",
                 "      \"best_value_ms\": {:.6},\n",
                 "      \"best_known_ms\": {:.6},\n",
                 "      \"reached_best\": {},\n",
@@ -282,6 +289,7 @@ pub fn to_json(rows: &[SearchRow]) -> String {
             r.space_size,
             r.budget,
             r.evaluations,
+            r.proposed,
             r.best_value,
             r.best_known,
             r.reached_best,

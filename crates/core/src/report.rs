@@ -44,7 +44,9 @@ pub struct TuneReport {
     /// them.
     pub build_failed: usize,
     /// Proposals the driver resolved. A batch's proposals past the one
-    /// that exhausts the budget are dropped unresolved and not counted.
+    /// that exhausts the budget, or past the one that covers a space
+    /// whose point count is exact, are dropped unresolved and not
+    /// counted.
     /// The accounting invariant — checked by the parallel determinism
     /// suite — is `proposed == accounted()`: each resolved proposal is
     /// answered exactly once, by a memo hit, a store hit, a fresh
@@ -55,6 +57,9 @@ pub struct TuneReport {
     /// distinct point is built at most once by the first two; finalize
     /// builds only a winner this session did not measure.
     pub builds: usize,
+    /// Why the session ended: its budget was spent, every point of its
+    /// space was proposed, or the search module gave up first.
+    pub stop: locus_search::StopReason,
 }
 
 impl TuneReport {

@@ -503,7 +503,9 @@ impl LocusSystem {
     }
 
     /// The search workflow (Fig. 2, bottom): converts the space, drives
-    /// the search module for `budget` evaluations, and returns the best
+    /// the search module for `budget` evaluations — stopping early, as
+    /// [`LocusSystem::tune_parallel`] does, once every point of a space
+    /// whose point count is exact was proposed — and returns the best
     /// variant together with the baseline measurement.
     ///
     /// # Errors
@@ -533,7 +535,8 @@ impl LocusSystem {
                 VariantOutcome::Failed(_) => Objective::Error,
             }
         };
-        let outcome = search.search(&prepared.space, budget, &mut evaluate);
+        let book = locus_search::Bookkeeper::for_space(budget, &prepared.space);
+        let outcome = search.drive(&prepared.space, book, &mut evaluate);
 
         let best = outcome.best.clone().and_then(|(point, _)| {
             match self.evaluate_point(source, &prepared, &point, Some(expected)) {
@@ -622,7 +625,7 @@ impl LocusSystem {
     /// *before* simulation, [`TuneReport::builds`] the variants built,
     /// and [`TuneReport::memo`] holds the cache statistics of the run.
     ///
-    /// # One build per point, nothing past the budget
+    /// # One build per point, nothing past the budget or the space
     ///
     /// A session keeps one build table, keyed by each point's canonical
     /// key. An entry holds the digest of the point's direct program
@@ -640,10 +643,14 @@ impl LocusSystem {
     /// * Build-verify walks each batch in proposal order and charges the
     ///   budget as [`locus_search::Bookkeeper::record`] will: nothing for
     ///   a point already resolved or an `Invalid` objective, one for
-    ///   anything else. It stops at the proposal that exhausts the
-    ///   budget, so nothing past the budget is built, measured or
-    ///   stored. [`TuneReport::proposed`] counts the proposals it
-    ///   resolved, and `proposed == accounted()` holds.
+    ///   anything else. It stops where
+    ///   [`locus_search::Bookkeeper::done_at`] says the session is over:
+    ///   at the proposal that exhausts the budget, or — on a space whose
+    ///   point count is exact — at the first proposal that covers the
+    ///   space. Nothing past the budget and nothing past the space is
+    ///   built, measured or stored. [`TuneReport::proposed`] counts the
+    ///   proposals it resolved, `proposed == accounted()` holds, and
+    ///   [`TuneReport::stop`] says why the session ended.
     /// * Finalize ships the winner's program with the measurement its
     ///   worker took. Only a winner this session did not simulate (one
     ///   answered from the store or a shared cache) is built and
@@ -842,7 +849,7 @@ impl LocusSystem {
         let mut best_run: Option<(u64, Measurement)> = None;
         let mut batch_no = 0usize;
 
-        let mut book = locus_search::Bookkeeper::new(budget);
+        let mut book = locus_search::Bookkeeper::for_space(budget, &prepared.space);
         while !book.done() {
             let mut batch = {
                 let _span = tracer.span("phase", "propose");
@@ -864,9 +871,11 @@ impl LocusSystem {
             // The walk charges the budget as the merge's
             // `Bookkeeper::record` will — nothing for a point already
             // resolved or an `Invalid` objective, one for anything else —
-            // and stops at the proposal that exhausts it, so nothing
-            // past the budget is built or measured.
+            // and counts the distinct grid points it covers the same way.
+            // It stops at the proposal that exhausts the budget or covers
+            // the space, so nothing past either is built or measured.
             let mut used = book.evaluations();
+            let mut covered = book.covered();
             let mut batch_variant: Vec<u64> = Vec::with_capacity(batch.len());
             // One origin label per proposal, read back by the merge
             // loop's `eval` events. When the tracer is disabled the
@@ -882,7 +891,7 @@ impl LocusSystem {
                 builds,
             } = &mut *guard;
             for point in &batch {
-                if used >= budget {
+                if book.done_at(used, covered) {
                     break;
                 }
                 let entry = entries.entry(point.canonical_key()).or_default();
@@ -891,6 +900,9 @@ impl LocusSystem {
                 // bookkeeper will have seen by the time it records this
                 // proposal.
                 let seen = entry.batch != 0;
+                if !seen && book.covers(point) {
+                    covered += 1;
+                }
                 entry.batch = batch_no;
                 let variant = *entry.digest.get_or_insert_with(|| {
                     locus_srcir::hash::fnv1a(self.direct_program(&prepared, point).as_bytes())
@@ -1096,7 +1108,7 @@ impl LocusSystem {
             // through the same bookkeeping the sequential driver uses.
             let _span = tracer.span("phase", "merge");
             for ((point, variant), origin) in batch.iter().zip(&batch_variant).zip(&batch_origin) {
-                debug_assert!(!book.done(), "the walk stops at the budget");
+                debug_assert!(!book.done(), "the walk stops where the bookkeeper does");
                 let objective = cache
                     .peek_variant(*variant)
                     .or_else(|| cache.peek_point(point))
@@ -1145,11 +1157,12 @@ impl LocusSystem {
                 search.observe(point, recorded, fresh);
             }
             debug_assert_eq!(
-                book.evaluations(),
-                used,
-                "the walk charged as the merge did"
+                (book.evaluations(), book.covered()),
+                (used, covered),
+                "the walk charged and covered as the merge did"
             );
         }
+        report.stop = book.stop_reason();
         let outcome = book.finish();
 
         let best = {
@@ -1230,6 +1243,7 @@ impl LocusSystem {
                     kv("threads", threads as u64),
                     kv("space_size", format!("{}", prepared.space.size())),
                     kv("proposed", report.proposed as u64),
+                    kv("stop", report.stop.as_str()),
                     kv("evaluations", report.evaluations() as u64),
                     kv("memo_hits", report.memo_hits() as u64),
                     kv("store_hits", report.store_hits() as u64),

@@ -6,6 +6,7 @@ use std::fmt;
 
 use crate::ast::*;
 use crate::lexer::{lex, LocusLexError, SpannedTok, Tok};
+use locus_srcir::parser::MAX_NESTING_DEPTH;
 
 /// Parse error for Locus programs.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,13 +42,18 @@ impl From<LocusLexError> for LocusParseError {
 ///
 /// # Errors
 ///
-/// Returns [`LocusParseError`] on malformed input.
+/// Returns [`LocusParseError`] on malformed input, including input whose
+/// statements and expressions nest deeper than the mini-C parser's
+/// [`MAX_NESTING_DEPTH`] (each statement, each expression — full,
+/// parenthesized, bracketed or an argument — and each `not` or unary
+/// minus operand opens one level).
 pub fn parse(src: &str) -> Result<LocusProgram, LocusParseError> {
     let tokens = lex(src)?;
     let mut p = P {
         tokens,
         pos: 0,
         serial: 0,
+        depth: 0,
     };
     let mut items = Vec::new();
     while p.peek().is_some() {
@@ -63,9 +69,28 @@ struct P {
     tokens: Vec<SpannedTok>,
     pos: usize,
     serial: usize,
+    /// Nesting levels open at the current position.
+    depth: usize,
 }
 
 impl P {
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut P) -> Result<T, LocusParseError>,
+    ) -> Result<T, LocusParseError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.err(format!(
+                "nesting exceeds the limit of {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn next_serial(&mut self) -> usize {
         let s = self.serial;
         self.serial += 1;
@@ -248,6 +273,10 @@ impl P {
     // ---- statements -----------------------------------------------------
 
     fn stmt(&mut self) -> Result<LStmt, LocusParseError> {
+        self.nested(P::stmt_unnested)
+    }
+
+    fn stmt_unnested(&mut self) -> Result<LStmt, LocusParseError> {
         if self.peek() == Some(&Tok::LBrace) {
             let block = self.block()?;
             return Ok(LStmt::Block(block));
@@ -411,6 +440,10 @@ impl P {
     // ---- expressions ------------------------------------------------------
 
     fn test(&mut self) -> Result<LExpr, LocusParseError> {
+        self.nested(P::or_test)
+    }
+
+    fn or_test(&mut self) -> Result<LExpr, LocusParseError> {
         let mut lhs = self.and_test()?;
         while self.eat(&Tok::OrOr) {
             let rhs = self.and_test()?;
@@ -430,7 +463,7 @@ impl P {
 
     fn not_test(&mut self) -> Result<LExpr, LocusParseError> {
         if self.eat_kw("not") {
-            let inner = self.not_test()?;
+            let inner = self.nested(P::not_test)?;
             return Ok(LExpr::Not(Box::new(inner)));
         }
         self.comparison()
@@ -524,7 +557,7 @@ impl P {
 
     fn unary(&mut self) -> Result<LExpr, LocusParseError> {
         if self.eat(&Tok::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(P::unary)?;
             return Ok(LExpr::Neg(Box::new(inner)));
         }
         self.mol()

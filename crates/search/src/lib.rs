@@ -26,11 +26,12 @@
 //! [`SearchModule::propose_batch`] asks for up to `k` candidate points,
 //! and [`SearchModule::observe`] tells it the [`Objective`] of each
 //! proposal, in proposal order. The driver — sequential
-//! ([`SearchModule::search`], the default implementation, which drives
+//! ([`SearchModule::drive`], the default implementation, which drives
 //! batches of one) or parallel (`LocusSystem::tune_parallel` in the
 //! core crate, which fans a batch out over a worker pool behind a
 //! shared memo cache) — owns evaluation, de-duplication, best-so-far
-//! tracking and budget accounting through a [`Bookkeeper`].
+//! tracking, budget accounting and the decision to stop through a
+//! [`Bookkeeper`].
 //!
 //! Because a `Bookkeeper` consumes results strictly in proposal order,
 //! any two drivers that feed the same proposal stream produce
@@ -146,10 +147,18 @@ impl SearchOutcome {
 ///
 /// Drivers call [`SearchModule::begin`] once, then alternate
 /// [`SearchModule::propose_batch`] and (for every proposal, in proposal
-/// order) [`SearchModule::observe`] until the budget is spent or the
-/// module returns an empty batch. Modules own their termination
-/// heuristics (staleness limits on tiny spaces); drivers own budget,
-/// memoization and best-so-far tracking.
+/// order) [`SearchModule::observe`] until the driver's [`Bookkeeper`]
+/// is done or the module returns an empty batch.
+///
+/// Termination is the driver's: its bookkeeper, which records what was
+/// proposed, stops the session when the budget is spent or, on a space
+/// whose point count is exact, when every point has been proposed
+/// ([`Bookkeeper::for_space`], used by both drivers of the core crate).
+/// A module's own staleness limits only end a session the driver cannot
+/// end: a space with continuous parameters, one whose remaining points
+/// the module never reaches, or a standalone [`SearchModule::search`],
+/// which stops on the budget alone. Drivers also own memoization and
+/// best-so-far tracking.
 pub trait SearchModule {
     /// A short human-readable name ("opentuner-like bandit", ...).
     fn name(&self) -> &str;
@@ -223,17 +232,20 @@ pub trait SearchModule {
     /// proposal that consumed no evaluation budget).
     fn observe(&mut self, point: &Point, objective: Objective, fresh: bool);
 
-    /// Runs the search sequentially: the classic evaluate-one-point-at-
-    /// a-time workflow of Fig. 2 (bottom), implemented as the batch
-    /// protocol with `k = 1`.
-    fn search(
+    /// Runs the search sequentially under `book`: the classic
+    /// evaluate-one-point-at-a-time workflow of Fig. 2 (bottom),
+    /// implemented as the batch protocol with `k = 1`. It ends when the
+    /// bookkeeper is done or the module returns an empty batch. The core
+    /// crate's sequential `LocusSystem::tune` drives with
+    /// [`Bookkeeper::for_space`], so it stops where the parallel driver
+    /// does.
+    fn drive(
         &mut self,
         space: &Space,
-        budget: usize,
+        mut book: Bookkeeper,
         evaluate: &mut dyn FnMut(&Point) -> Objective,
     ) -> SearchOutcome {
-        self.begin(space, budget);
-        let mut book = Bookkeeper::new(budget);
+        self.begin(space, book.budget());
         while !book.done() {
             let batch = self.propose_batch(space, 1);
             if batch.is_empty() {
@@ -246,11 +258,50 @@ pub trait SearchModule {
         }
         book.finish()
     }
+
+    /// Runs the module on its own: [`SearchModule::drive`] under
+    /// [`Bookkeeper::new`], which stops on the budget alone, so the run
+    /// lasts until the budget is spent or the module gives up.
+    fn search(
+        &mut self,
+        space: &Space,
+        budget: usize,
+        evaluate: &mut dyn FnMut(&Point) -> Objective,
+    ) -> SearchOutcome {
+        self.drive(space, Bookkeeper::new(budget), evaluate)
+    }
+}
+
+/// Why a driver ended a session.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum StopReason {
+    /// The budget of evaluations was spent.
+    #[default]
+    Budget,
+    /// Every point of a space whose point count is exact was proposed,
+    /// so any further proposal would be a duplicate.
+    SpaceSpent,
+    /// The module returned an empty batch (a staleness limit, or its
+    /// own enumeration ran out) before either of the above.
+    ModuleDone,
+}
+
+impl StopReason {
+    /// The reason as a trace value: `budget`, `space spent` or
+    /// `module gave up`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StopReason::Budget => "budget",
+            StopReason::SpaceSpent => "space spent",
+            StopReason::ModuleDone => "module gave up",
+        }
+    }
 }
 
 /// Driver-side evaluation bookkeeping shared by the sequential default
 /// driver and the parallel engine in the core crate: memoized dedup,
-/// budget accounting, best tracking and history recording.
+/// budget accounting, best tracking, history recording, and the rule
+/// that ends a session ([`Bookkeeper::done_at`]).
 ///
 /// The bookkeeper consumes proposals **in proposal order**; equal
 /// objective values never displace an earlier best (ties break toward
@@ -262,21 +313,88 @@ pub struct Bookkeeper {
     seen: std::collections::HashMap<String, Objective>,
     outcome: SearchOutcome,
     budget: usize,
+    /// The space and its exact point count, when the run also stops on
+    /// coverage.
+    grid: Option<(Space, u128)>,
+    /// Distinct on-grid points recorded so far.
+    covered: u128,
 }
 
 impl Bookkeeper {
-    /// Creates a bookkeeper for a run of `budget` evaluations.
+    /// Creates a bookkeeper for a run of `budget` evaluations that stops
+    /// on the budget alone.
     pub fn new(budget: usize) -> Bookkeeper {
         Bookkeeper {
             seen: std::collections::HashMap::new(),
             outcome: SearchOutcome::new(),
             budget,
+            grid: None,
+            covered: 0,
         }
     }
 
-    /// Whether the budget is exhausted.
+    /// Creates a bookkeeper for a run of `budget` evaluations over
+    /// `space` that also stops once every point of the space has been
+    /// proposed, when its point count is exact ([`Space::exact_size`]).
+    /// Only distinct proposals that are grid points
+    /// ([`Space::is_on_grid`]) count toward covering it, so a malformed
+    /// or off-grid proposal never ends a run early.
+    ///
+    /// Past that proposal every further one is a duplicate: it costs
+    /// no budget and leaves best, history, `evaluations` and `invalid`
+    /// as they are, so stopping changes only `duplicates`.
+    pub fn for_space(budget: usize, space: &Space) -> Bookkeeper {
+        Bookkeeper {
+            grid: space.exact_size().map(|n| (space.clone(), n)),
+            ..Bookkeeper::new(budget)
+        }
+    }
+
+    /// Whether the run is over: the budget is spent, or every point of
+    /// an exact space has been proposed.
     pub fn done(&self) -> bool {
-        self.outcome.evaluations >= self.budget
+        self.done_at(self.outcome.evaluations, self.covered)
+    }
+
+    /// The stopping rule at given counts: whether a run that has charged
+    /// `evaluations` and proposed `covered` distinct grid points is over.
+    /// [`Bookkeeper::done`] asks it with the bookkeeper's own counts; a
+    /// driver that resolves proposals ahead of recording them asks it
+    /// with the counts it predicts, so both stop at the same proposal.
+    pub fn done_at(&self, evaluations: usize, covered: u128) -> bool {
+        evaluations >= self.budget || self.grid.as_ref().is_some_and(|(_, n)| covered >= *n)
+    }
+
+    /// Whether a first proposal of `point` counts toward covering the
+    /// space: the run stops on coverage and the point is a grid point.
+    pub fn covers(&self, point: &Point) -> bool {
+        self.grid
+            .as_ref()
+            .is_some_and(|(space, _)| space.is_on_grid(point))
+    }
+
+    /// Distinct grid points recorded so far (always 0 for a bookkeeper
+    /// made by [`Bookkeeper::new`]).
+    pub fn covered(&self) -> u128 {
+        self.covered
+    }
+
+    /// Why the run ended, asked once the driver stopped: the budget,
+    /// coverage of the space, or — when neither holds — the module ran
+    /// out of proposals.
+    pub fn stop_reason(&self) -> StopReason {
+        if self.outcome.evaluations >= self.budget {
+            StopReason::Budget
+        } else if self.done() {
+            StopReason::SpaceSpent
+        } else {
+            StopReason::ModuleDone
+        }
+    }
+
+    /// The run's budget of evaluations.
+    pub fn budget(&self) -> usize {
+        self.budget
     }
 
     /// Budget charged so far: one per distinct point whose objective was
@@ -297,6 +415,9 @@ impl Bookkeeper {
         if let Some(cached) = self.seen.get(&key) {
             self.outcome.duplicates += 1;
             return (*cached, false);
+        }
+        if self.covers(point) {
+            self.covered += 1;
         }
         let objective = evaluate(point);
         self.seen.insert(key, objective);
@@ -423,6 +544,35 @@ mod tests {
             assert!(w[1].1 < w[0].1);
             assert!(w[1].0 > w[0].0);
         }
+    }
+
+    #[test]
+    fn for_space_stops_once_every_point_was_recorded() {
+        use locus_space::{ParamDef, ParamKind};
+        let space: Space = vec![ParamDef::new("x", ParamKind::Integer { min: 0, max: 2 })]
+            .into_iter()
+            .collect();
+        let mut book = Bookkeeper::for_space(10, &space);
+        let mut plain = Bookkeeper::new(10);
+        for i in 0..3 {
+            assert!(!book.done(), "stopped after {i} points");
+            // Refused points were proposed too: they count.
+            book.record(&space.point_at(i), |_| Objective::Invalid);
+            plain.record(&space.point_at(i), |_| Objective::Invalid);
+        }
+        assert!(book.done());
+        assert_eq!(book.covered(), 3);
+        assert_eq!(book.stop_reason(), StopReason::SpaceSpent);
+        assert!(!plain.done(), "`new` stops on the budget alone");
+        assert_eq!(plain.stop_reason(), StopReason::ModuleDone);
+
+        // When the last point also spends the budget, the budget is the
+        // reason.
+        let mut book = Bookkeeper::for_space(3, &space);
+        for i in 0..3 {
+            book.record(&space.point_at(i), |_| Objective::Value(1.0));
+        }
+        assert_eq!(book.stop_reason(), StopReason::Budget);
     }
 
     #[test]

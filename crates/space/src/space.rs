@@ -1,6 +1,6 @@
 //! The optimization space: an ordered collection of parameters.
 
-use crate::param::ParamDef;
+use crate::param::{ParamDef, ParamKind};
 use crate::point::Point;
 use crate::rng::SplitMix64;
 
@@ -66,7 +66,13 @@ impl Space {
         self.params.is_empty()
     }
 
-    /// Total number of points (saturating at `u128::MAX`).
+    /// Total number of grid points (saturating at `u128::MAX`).
+    ///
+    /// The count is exact — every point a module can propose is one of
+    /// them — only when every parameter is discrete and the product does
+    /// not saturate; [`Space::exact_size`] returns it then. A `Float` or
+    /// `LogFloat` parameter counts its `steps` grid samples, but modules
+    /// also draw values between them.
     ///
     /// This is the figure the paper quotes for Fig. 7's space
     /// ("34,012,224 possible variants according to OpenTuner") — the
@@ -79,6 +85,32 @@ impl Space {
             .fold(1u128, |acc, c| acc.saturating_mul(c))
     }
 
+    /// The number of points when it is exact: `None` when a parameter
+    /// is `Float` or `LogFloat` (continuous domains whose modules draw
+    /// off-grid values) or the count overflows `u128`.
+    pub fn exact_size(&self) -> Option<u128> {
+        self.params.iter().try_fold(1u128, |acc, p| match p.kind {
+            ParamKind::Float { .. } | ParamKind::LogFloat { .. } => None,
+            _ => acc.checked_mul(p.kind.cardinality()),
+        })
+    }
+
+    /// Whether `point` is one of the space's grid points: it assigns
+    /// exactly the space's parameters, each to a grid value, so it
+    /// round-trips through [`Space::trace_of`] and
+    /// [`Space::point_from_trace`] unchanged. Checked value by value,
+    /// without building the decoded point.
+    pub fn is_on_grid(&self, point: &Point) -> bool {
+        point.len() == self.params.len()
+            && self.params.iter().all(|p| {
+                point.get(&p.id).is_some_and(|v| {
+                    p.kind
+                        .index_of(v)
+                        .is_some_and(|i| i < p.kind.cardinality() && p.kind.value_at(i) == *v)
+                })
+            })
+    }
+
     /// A stable 64-bit digest of the space: parameter ids, kinds and
     /// bounds in declaration order, hashed with FNV-1a (float bounds via
     /// their bit patterns, so the digest is exact, not format-dependent).
@@ -89,7 +121,6 @@ impl Space {
     /// session whose space decodes canonical keys identically. It also
     /// serves as a provenance line in benchmark reports.
     pub fn digest(&self) -> u64 {
-        use crate::param::ParamKind;
         use crate::point::fnv1a;
         let mut desc = String::new();
         for p in &self.params {
@@ -270,7 +301,7 @@ impl FromIterator<ParamDef> for Space {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::{ParamKind, ParamValue};
+    use crate::param::ParamValue;
     use crate::rng::SplitMix64;
 
     fn rng() -> SplitMix64 {
@@ -471,6 +502,75 @@ mod tests {
         assert_eq!(space.trace_of(&Point::new()), None);
         assert_eq!(Space::new().trace_of(&Point::new()), Some(Vec::new()));
         assert_eq!(Space::new().point_from_trace(&[]), Some(Point::new()));
+    }
+
+    #[test]
+    fn exact_size_is_none_for_continuous_domains() {
+        assert_eq!(fig5_space().exact_size(), Some(50));
+        assert_eq!(Space::new().exact_size(), Some(1));
+        for kind in [
+            ParamKind::Float {
+                min: 0.0,
+                max: 1.0,
+                steps: 4,
+            },
+            ParamKind::LogFloat {
+                min: 0.1,
+                max: 10.0,
+                steps: 4,
+            },
+        ] {
+            let mut space = fig5_space();
+            space.add(ParamDef::new("f", kind));
+            assert_eq!(space.exact_size(), None);
+            assert_eq!(space.size(), 200, "size still counts the grid");
+        }
+        let mut huge = Space::new();
+        for i in 0..3 {
+            huge.add(ParamDef::new(format!("p{i}"), ParamKind::Permutation(30)));
+        }
+        assert_eq!(huge.exact_size(), None, "the count overflows");
+        assert_eq!(huge.size(), u128::MAX);
+    }
+
+    #[test]
+    fn on_grid_points_round_trip_and_others_do_not() {
+        let space = fig5_space();
+        for i in 0..space.size() {
+            assert!(space.is_on_grid(&space.point_at(i)), "index {i}");
+        }
+        let mut off = space.point_at(0);
+        off.set("tileI", ParamValue::Int(3));
+        assert!(!space.is_on_grid(&off), "3 is no power of two");
+        let mut extra = space.point_at(0);
+        extra.set("stray", ParamValue::Int(1));
+        assert!(!space.is_on_grid(&extra), "a parameter the space lacks");
+        let partial: Point = vec![("tileI".to_string(), ParamValue::Int(4))]
+            .into_iter()
+            .collect();
+        assert!(!space.is_on_grid(&partial), "a missing parameter");
+        let mut shape = space.point_at(0);
+        shape.set("tileI", ParamValue::Choice(0));
+        assert!(!space.is_on_grid(&shape), "a value of the wrong shape");
+        // Agrees with the trace round trip on every kind, on and off grid.
+        let mut mixed = fig5_space();
+        mixed.add(ParamDef::new("n", ParamKind::Integer { min: 1, max: 4 }));
+        mixed.add(ParamDef::new("p", ParamKind::Permutation(3)));
+        let mut r = rng();
+        for i in 0..200 {
+            let mut p = mixed.random_point(&mut r);
+            if i % 3 == 0 {
+                p.set("n", ParamValue::Int(r.below(8) as i64));
+            }
+            if i % 5 == 0 {
+                p.set("p", ParamValue::Perm(vec![0, 0, 1]));
+            }
+            let round_trip = mixed
+                .trace_of(&p)
+                .and_then(|t| mixed.point_from_trace(&t))
+                .is_some_and(|q| q == p);
+            assert_eq!(mixed.is_on_grid(&p), round_trip, "{p:?}");
+        }
     }
 
     #[test]

@@ -33,15 +33,24 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deeply statements and expressions may nest, in levels. Each
+/// statement opens one level, as do each expression (a full expression,
+/// or one in parentheses, brackets or a call argument), each unary or
+/// cast operand and each assignment's right-hand side. The parsers of
+/// this crate and of the Locus language refuse deeper input with a
+/// parse error naming the limit, so no input can exhaust the stack of
+/// the parser or of the passes that walk its tree.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 /// Parses a whole mini-C translation unit.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError`] (which also wraps lexical errors) on malformed
-/// input.
+/// input, including input nested deeper than [`MAX_NESTING_DEPTH`].
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     parser.program()
 }
 
@@ -52,7 +61,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// Returns [`ParseError`] on malformed input or trailing tokens.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser::new(tokens);
     let expr = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.err_here("trailing tokens after expression"));
@@ -63,9 +72,36 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 pub(crate) struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Nesting levels open at the current position.
+    depth: usize,
 }
 
 impl Parser {
+    pub(crate) fn new(tokens: Vec<SpannedToken>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.err_here(format!(
+                "nesting exceeds the limit of {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
@@ -241,10 +277,12 @@ impl Parser {
     }
 
     pub(crate) fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        let pragmas = self.collect_pragmas()?;
-        let mut stmt = self.stmt_no_pragma()?;
-        stmt.pragmas = pragmas;
-        Ok(stmt)
+        self.nested(|p| {
+            let pragmas = p.collect_pragmas()?;
+            let mut stmt = p.stmt_no_pragma()?;
+            stmt.pragmas = pragmas;
+            Ok(stmt)
+        })
     }
 
     fn stmt_no_pragma(&mut self) -> Result<Stmt, ParseError> {
@@ -417,7 +455,7 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     pub(crate) fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.assignment()
+        self.nested(Parser::assignment)
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
@@ -432,7 +470,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.assignment()?;
+            let rhs = self.nested(Parser::assignment)?;
             Ok(Expr::Assign {
                 op,
                 lhs: Box::new(lhs),
@@ -533,7 +571,7 @@ impl Parser {
             Some(Token::PlusPlus) => {
                 // Prefix increment: `++i` == `i += 1`.
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Parser::unary)?;
                 return Ok(Expr::Assign {
                     op: AssignOp::AddAssign,
                     lhs: Box::new(operand),
@@ -542,7 +580,7 @@ impl Parser {
             }
             Some(Token::MinusMinus) => {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Parser::unary)?;
                 return Ok(Expr::Assign {
                     op: AssignOp::SubAssign,
                     lhs: Box::new(operand),
@@ -553,7 +591,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary()?;
+            let operand = self.nested(Parser::unary)?;
             return Ok(Expr::Unary {
                 op,
                 operand: Box::new(operand),
@@ -606,7 +644,7 @@ impl Parser {
                     self.bump();
                     let ty = self.parse_type()?;
                     self.expect(&Token::RParen)?;
-                    let inner = self.unary()?;
+                    let inner = self.nested(Parser::unary)?;
                     return Ok(Expr::Cast {
                         ty,
                         expr: Box::new(inner),

@@ -355,13 +355,30 @@ impl TuningStore {
         Ok(appended)
     }
 
-    /// Appends one session summary under `key`.
+    /// Appends one session summary under `key`, unless a record
+    /// identical to it — bit for bit, under the same key — is already
+    /// indexed. A pure replay re-derives its prior session's summary;
+    /// [`TuningStore::nearest_session`] returns the first of equal
+    /// candidates, so a second copy changes no retrieval and would only
+    /// grow the log every later open decodes.
     ///
     /// # Errors
     ///
     /// I/O errors of the underlying append.
     pub fn append_session(&mut self, key: &StoreKey, record: SessionRecord) -> io::Result<()> {
         self.require_writable()?;
+        let same = |(k, r): &(StoreKey, SessionRecord)| {
+            r.best_ms.to_bits() == record.best_ms.to_bits()
+                && r.best_point == record.best_point
+                && r.region == record.region
+                && r.shape == record.shape
+                && r.recipe == record.recipe
+                && r.search == record.search
+                && k == key
+        };
+        if self.sessions.iter().any(same) {
+            return Ok(());
+        }
         let mut line = encode_session(key, &record);
         line.push('\n');
         self.append_raw(&line)?;

@@ -45,6 +45,14 @@ cargo test -q --offline --locked --manifest-path crates/bench/src/bin/locus-benc
 # against its pre-extension composition on any family.
 ./target/release/bench_search --check
 
+# The committed search and corpus reports hold no wall-clock field, so
+# a full regeneration must reproduce them byte for byte: this pins
+# every count, proposals included, against the code that made them.
+./target/release/bench_search /tmp/locus_bench_search.json
+cmp /tmp/locus_bench_search.json BENCH_search.json
+./target/release/bench_corpus /tmp/locus_bench_corpus.json
+cmp /tmp/locus_bench_corpus.json BENCH_corpus.json
+
 # Parallel-driver bench in check mode: on every row tune_parallel must
 # return the sequential tune's best point and objective bit for bit.
 ./target/release/bench_parallel /tmp/locus_bench_parallel.json --check

@@ -188,6 +188,11 @@ fn render_rates(out: &mut String, summary: &Event) {
     let rate = |n: u64| n as f64 * 100.0 / proposed as f64;
     out.push_str("evaluation accounting\n---------------------\n");
     let _ = writeln!(out, "proposed        {proposed}");
+    // Why the session ended; traces written before the driver said so
+    // carry no `stop` key and render unchanged.
+    if let Some(stop) = summary.arg("stop").and_then(Value::as_str) {
+        let _ = writeln!(out, "stopped         {stop}");
+    }
     for (label, key) in [
         ("measured", "evaluations"),
         ("memo hits", "memo_hits"),

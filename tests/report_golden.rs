@@ -78,3 +78,16 @@ fn rendering_is_deterministic() {
     let events = from_jsonl(&fixture("session_trace.jsonl")).unwrap();
     assert_eq!(render_trace(&events), render_trace(&events));
 }
+
+#[test]
+fn stop_reason_renders_when_the_summary_carries_it() {
+    let plain = fixture("synthetic_trace.jsonl");
+    assert!(!render_trace(&from_jsonl(&plain).unwrap()).contains("stopped"));
+    let stopped = plain.replace(r#""proposed":6,"#, r#""proposed":6,"stop":"space spent","#);
+    assert_ne!(stopped, plain, "the fixture summary carries `proposed`");
+    let report = render_trace(&from_jsonl(&stopped).unwrap());
+    assert!(
+        report.contains("proposed        6\nstopped         space spent\n"),
+        "{report}"
+    );
+}

@@ -287,3 +287,196 @@ fn runtime_errors_fail_closed_through_the_system() {
     assert_eq!(result.outcome.evaluations, 2);
     assert!(result.best.is_some());
 }
+
+// ---- deep nesting is refused, never a stack overflow -------------------------
+
+use locus::srcir::parser::MAX_NESTING_DEPTH;
+
+/// Runs `f` on a thread with an explicit 2 MiB stack, so the nesting
+/// limit is checked against a known stack budget.
+fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(scope, f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+    })
+}
+
+/// A runnable mini-C program whose deepest point nests exactly `depth`
+/// levels by the rule of [`MAX_NESTING_DEPTH`] (`depth >= 5`). Seeded
+/// choices mix nested blocks, `if`s and `for`s down to a leaf
+/// assignment whose right-hand side is wrapped in parentheses, unary
+/// minus and casts.
+fn deep_minic(rng: &mut SplitMix64, depth: usize) -> String {
+    // The region loop is level 1, its block level 2.
+    let mut src = String::from(
+        "double A[4];\nvoid kernel() {\n#pragma @Locus loop=deep\nfor (int i0 = 0; i0 < 1; i0++) {\n",
+    );
+    let mut closers = 1;
+    // The leaf statement's level: its lhs index and rhs open one more
+    // level, each wrapper of the rhs one more again.
+    let leaf = 3 + rng.below_usize(depth - 4);
+    let mut level = 3;
+    let mut loops = 0;
+    while level < leaf {
+        let room = leaf - level;
+        match rng.below_usize(3) {
+            0 => {
+                src.push_str("{\n");
+                level += 1;
+            }
+            1 if room >= 2 => {
+                src.push_str("if (1) {\n");
+                level += 2;
+            }
+            2 if room >= 2 => {
+                loops += 1;
+                src.push_str(&format!(
+                    "for (int i{loops} = 0; i{loops} < 1; i{loops}++) {{\n"
+                ));
+                level += 2;
+            }
+            _ => continue,
+        }
+        closers += 1;
+    }
+    let wrappers = depth - leaf - 2;
+    let mut rhs = String::from("1.5");
+    for _ in 0..wrappers {
+        rhs = match rng.below_usize(3) {
+            0 => format!("({rhs})"),
+            1 => format!("- {rhs}"),
+            _ => format!("(double){rhs}"),
+        };
+    }
+    src.push_str(&format!("A[0] = {rhs};\n"));
+    src.push_str(&"}\n".repeat(closers + 1));
+    src
+}
+
+/// A Locus program whose deepest point nests exactly `depth` levels
+/// (`depth >= 3`): nested blocks and `if`s (one level each) around an
+/// assignment whose right-hand side is wrapped in parentheses, `-` and
+/// `not`.
+fn deep_locus(rng: &mut SplitMix64, depth: usize) -> String {
+    let mut src = String::from("CodeReg deep {\n");
+    let mut closers = 0;
+    let leaf = 1 + rng.below_usize(depth - 2);
+    let mut level = 1;
+    while level < leaf {
+        src.push_str(if rng.chance(0.5) { "if 1 {\n" } else { "{\n" });
+        level += 1;
+        closers += 1;
+    }
+    let mut rhs = String::from("1");
+    for _ in 0..depth - leaf - 1 {
+        // `-` binds tighter than `not`, so it never wraps one bare.
+        rhs = match rng.below_usize(3) {
+            0 => format!("({rhs})"),
+            1 if !rhs.starts_with("not") => format!("-{rhs}"),
+            _ => format!("not {rhs}"),
+        };
+    }
+    src.push_str(&format!("x = {rhs};\n"));
+    src.push_str(&"}\n".repeat(closers + 1));
+    src
+}
+
+/// At the nesting limit every stage that walks the tree succeeds on a
+/// 2 MiB stack — parse, print, variant build, both engines; one level
+/// past it, parsing fails with an error that names the limit.
+#[test]
+fn minic_nesting_limit_is_exact_and_safe() {
+    use locus::machine::{ExecEngine, Machine, MachineConfig};
+
+    on_small_stack(|| {
+        let mut rng = SplitMix64::new(0xdee9);
+        for _ in 0..4 {
+            let seed = rng.next_u64();
+            let at = deep_minic(&mut SplitMix64::new(seed), MAX_NESTING_DEPTH);
+            let program = locus::srcir::parse_program(&at)
+                .unwrap_or_else(|e| panic!("seed {seed:x}: the limit itself parses: {e}"));
+            let printed = locus::srcir::print_program(&program);
+            assert!(printed.contains("A[0]"));
+
+            let tree = Machine::new(MachineConfig::scaled_tiny().with_engine(ExecEngine::Tree));
+            let vm = Machine::new(MachineConfig::scaled_tiny());
+            let a = tree.run(&program, "kernel").expect("tree engine runs");
+            let b = vm.run(&program, "kernel").expect("register VM runs");
+            assert_eq!(a.checksum, b.checksum, "seed {seed:x}");
+
+            let system = locus::system::LocusSystem::new(vm);
+            let recipe = locus::lang::parse(
+                r#"CodeReg deep {
+                    *Pragma.Vector(loop="innermost");
+                }"#,
+            )
+            .unwrap();
+            let prepared = system.prepare(&program, &recipe).unwrap();
+            for i in 0..prepared.space.size() {
+                let point = prepared.space.point_at(i);
+                assert!(
+                    system.build_variant(&program, &prepared, &point).is_ok(),
+                    "seed {seed:x}: point {i} builds"
+                );
+            }
+
+            let past = deep_minic(&mut SplitMix64::new(seed), MAX_NESTING_DEPTH + 1);
+            let err = locus::srcir::parse_program(&past).expect_err("one level past the limit");
+            assert!(
+                err.message.contains(&MAX_NESTING_DEPTH.to_string()),
+                "seed {seed:x}: {err}"
+            );
+        }
+    });
+}
+
+/// The Locus parser shares the limit: at it, parse and print succeed;
+/// one level past it, parsing fails with an error that names it.
+#[test]
+fn locus_nesting_limit_is_exact_and_safe() {
+    on_small_stack(|| {
+        let mut rng = SplitMix64::new(0x10c5);
+        for _ in 0..4 {
+            let seed = rng.next_u64();
+            let at = deep_locus(&mut SplitMix64::new(seed), MAX_NESTING_DEPTH);
+            let program = locus::lang::parse(&at)
+                .unwrap_or_else(|e| panic!("seed {seed:x}: the limit itself parses: {e}"));
+            assert!(locus::lang::print_program(&program).contains("x ="));
+            let past = deep_locus(&mut SplitMix64::new(seed), MAX_NESTING_DEPTH + 1);
+            let err = locus::lang::parse(&past).expect_err("one level past the limit");
+            assert!(
+                err.message.contains(&MAX_NESTING_DEPTH.to_string()),
+                "seed {seed:x}: {err}"
+            );
+        }
+    });
+}
+
+/// `locus-lint` refuses a 5,000-deep file with a message and exit 1,
+/// and lints a file at the limit to completion.
+#[test]
+fn lint_refuses_absurd_nesting_without_crashing() {
+    let dir = std::env::temp_dir();
+    let deep = dir.join(format!("locus-lint-deep-{}.c", std::process::id()));
+    let at = dir.join(format!("locus-lint-at-limit-{}.c", std::process::id()));
+    let mut rng = SplitMix64::new(5);
+    std::fs::write(&deep, deep_minic(&mut rng, 5000)).unwrap();
+    std::fs::write(&at, deep_minic(&mut rng, MAX_NESTING_DEPTH)).unwrap();
+    let lint = |path: &std::path::Path| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_locus-lint"))
+            .arg(path)
+            .output()
+            .expect("run locus-lint")
+    };
+    let refused = lint(&deep);
+    assert_eq!(refused.status.code(), Some(1), "{refused:?}");
+    assert!(String::from_utf8_lossy(&refused.stdout).contains("nesting"));
+    let linted = lint(&at);
+    assert_eq!(linted.status.code(), Some(0), "{linted:?}");
+    std::fs::remove_file(&deep).ok();
+    std::fs::remove_file(&at).ok();
+}

@@ -243,3 +243,281 @@ fn tiny_spaces_terminate_for_every_module() {
         assert_eq!(best.get("x"), Some(&ParamValue::Choice(1)));
     }
 }
+
+// ---- the driver stops once the space is spent ------------------------------
+
+use locus::corpus::CorpusEntry;
+use locus::search::{Bookkeeper, SearchOutcome, StopReason};
+use locus::system::{LocusSystem, TuneRequest, VariantOutcome};
+
+/// The comparable part of an outcome: everything but `duplicates`,
+/// which is the one count the stop is allowed to lower.
+#[derive(Debug, PartialEq)]
+struct Trajectory {
+    best: Option<(String, u64)>,
+    history: Vec<(usize, u64)>,
+    evaluations: usize,
+    invalid: usize,
+}
+
+fn trajectory(out: &SearchOutcome) -> Trajectory {
+    Trajectory {
+        best: out
+            .best
+            .as_ref()
+            .map(|(p, v)| (p.canonical_key(), v.to_bits())),
+        history: out.history.iter().map(|(i, v)| (*i, v.to_bits())).collect(),
+        evaluations: out.evaluations,
+        invalid: out.invalid,
+    }
+}
+
+/// The batch protocol with no stop but the budget ([`Bookkeeper::new`]),
+/// proposing `k` points at a time until the module gives up. Returns
+/// the outcome and every proposal it recorded, in order.
+fn drive_without_stop(
+    module: &mut dyn SearchModule,
+    space: &Space,
+    budget: usize,
+    k: usize,
+    evaluate: &mut dyn FnMut(&Point) -> Objective,
+) -> (SearchOutcome, Vec<Point>) {
+    module.begin(space, budget);
+    let mut book = Bookkeeper::new(budget);
+    let mut stream = Vec::new();
+    'run: loop {
+        let batch = module.propose_batch(space, k);
+        if batch.is_empty() {
+            break;
+        }
+        for point in &batch {
+            if book.done() {
+                break 'run;
+            }
+            let (objective, fresh) = book.record(point, |p| evaluate(p));
+            module.observe(point, objective, fresh);
+            stream.push(point.clone());
+        }
+    }
+    (book.finish(), stream)
+}
+
+/// 1-based position of the proposal that makes the distinct grid points
+/// of `stream` cover `space`, if any does.
+fn covering_position(space: &Space, stream: &[Point]) -> Option<usize> {
+    let size = space.exact_size()?;
+    let mut seen = std::collections::HashSet::new();
+    stream
+        .iter()
+        .position(|p| {
+            space.is_on_grid(p) && seen.insert(p.canonical_key()) && seen.len() as u128 == size
+        })
+        .map(|i| i + 1)
+}
+
+fn registry_entry(name: &str) -> CorpusEntry {
+    locus::corpus::all_programs()
+        .into_iter()
+        .find(|e| e.name == name)
+        .expect("registry entry")
+}
+
+fn tiny_system() -> LocusSystem {
+    use locus::machine::{Machine, MachineConfig};
+    LocusSystem::new(Machine::new(MachineConfig::scaled_tiny().with_cores(2)))
+}
+
+/// Every module on a 16-point space whose every point is legal, at
+/// budget 32: the sequential `tune` and `tune_parallel` at 1 and 2
+/// threads stop once every point was proposed, yet return the
+/// trajectory of a driver that never stops early. The report says
+/// "space spent" at exactly the proposal that covered the space.
+#[test]
+fn sessions_stop_once_the_space_is_spent() {
+    let entry = registry_entry("stencil-heat1d");
+    let locus = entry.locus_program();
+    let system = tiny_system();
+    let budget = 32;
+    let prepared = system.prepare(&entry.program, &locus).unwrap();
+    let space = prepared.space.clone();
+    assert_eq!(space.exact_size(), Some(16));
+    let expected = system.measure(&entry.program).unwrap().checksum;
+    let mut evaluate =
+        |p: &Point| match system.evaluate_point(&entry.program, &prepared, p, Some(expected)) {
+            VariantOutcome::Measured(boxed) => Objective::Value(boxed.1.time_ms),
+            VariantOutcome::Invalid(_) | VariantOutcome::Illegal(_) => Objective::Invalid,
+            VariantOutcome::Failed(_) => Objective::Error,
+        };
+    let oracle: locus::search::LegalityOracle = {
+        let (sys, source, prepared) = (system.clone(), entry.program.clone(), prepared.clone());
+        std::sync::Arc::new(move |p: &Point| sys.build_variant(&source, &prepared, p).is_ok())
+    };
+
+    for (name, make) in all_modules() {
+        let mut reference = make(5);
+        reference.attach_pruner(&oracle);
+        let (want, _) = drive_without_stop(reference.as_mut(), &space, budget, 1, &mut evaluate);
+        let got = system
+            .tune(&entry.program, &locus, make(5).as_mut(), budget)
+            .unwrap();
+        assert_eq!(
+            trajectory(&got.outcome),
+            trajectory(&want),
+            "{name}: tune diverged from the driver without a stop"
+        );
+
+        let mut reference = make(5);
+        reference.attach_pruner(&oracle);
+        let (want, stream) = drive_without_stop(
+            reference.as_mut(),
+            &space,
+            budget,
+            locus::system::PARALLEL_BATCH,
+            &mut evaluate,
+        );
+        let covering = covering_position(&space, &stream)
+            .unwrap_or_else(|| panic!("{name}: the reference never covered the space"));
+        for threads in [1, 2] {
+            let (got, report) = system
+                .tune_parallel(
+                    &entry.program,
+                    &locus,
+                    make(5).as_mut(),
+                    TuneRequest::new(budget, threads),
+                )
+                .unwrap();
+            assert_eq!(
+                trajectory(&got.outcome),
+                trajectory(&want),
+                "{name} threads={threads}: tune_parallel diverged from the driver without a stop"
+            );
+            assert_eq!(
+                report.stop,
+                StopReason::SpaceSpent,
+                "{name} threads={threads}"
+            );
+            assert_eq!(
+                report.proposed, covering,
+                "{name} threads={threads}: the session must stop at the covering proposal"
+            );
+            assert_eq!(report.proposed, report.accounted(), "{name}");
+        }
+    }
+}
+
+/// A space with a `Float` parameter has no exact point count: however
+/// many grid points a session proposes, it never stops as "space spent".
+#[test]
+fn continuous_spaces_never_stop_as_spent() {
+    let entry = registry_entry("dgemm");
+    let locus = locus::lang::parse(
+        r#"
+CodeReg matmul {
+    tileI = poweroftwo(2..8);
+    scale = float(1..2);
+    if scale > 1.5 {
+        Pips.Tiling(loop="0", factor=[tileI, tileI, tileI]);
+    }
+}
+"#,
+    )
+    .unwrap();
+    let system = tiny_system();
+    let prepared = system.prepare(&entry.program, &locus).unwrap();
+    assert!(
+        prepared
+            .space
+            .params()
+            .iter()
+            .any(|p| matches!(p.kind, ParamKind::Float { .. })),
+        "the space keeps its float parameter"
+    );
+    assert_eq!(prepared.space.exact_size(), None);
+    for (name, make) in all_modules() {
+        let (_, report) = system
+            .tune_parallel(
+                &entry.program,
+                &locus,
+                make(9).as_mut(),
+                TuneRequest::new(64, 1),
+            )
+            .unwrap();
+        assert_ne!(report.stop, StopReason::SpaceSpent, "{name}");
+    }
+}
+
+/// A module that first proposes malformed points — off-grid values, a
+/// missing parameter, a parameter the space lacks — more of them than
+/// the space has points, then every grid point once.
+struct Hostile {
+    queue: Vec<Point>,
+}
+
+impl SearchModule for Hostile {
+    fn name(&self) -> &str {
+        "hostile"
+    }
+
+    fn begin(&mut self, space: &Space, _budget: usize) {
+        let mut queue = Vec::new();
+        for tile in [3, 5, 6, 7, 9, 10, 11, 12] {
+            let mut p = space.point_at(0);
+            p.set("tile", ParamValue::Int(tile));
+            queue.push(p);
+        }
+        for tile in [2, 4, 8, 16] {
+            let mut p = Point::new();
+            p.set("tile", ParamValue::Int(tile));
+            queue.push(p);
+            let mut q = space.point_at(0);
+            q.set("tile", ParamValue::Int(tile));
+            q.set("stray", ParamValue::Int(1));
+            queue.push(q);
+        }
+        queue.extend((0..space.size()).map(|i| space.point_at(i)));
+        queue.reverse();
+        self.queue = queue;
+    }
+
+    fn propose(&mut self, _space: &Space) -> Option<Point> {
+        self.queue.pop()
+    }
+
+    fn observe(&mut self, _point: &Point, _objective: Objective, _fresh: bool) {}
+}
+
+/// Malformed and off-grid proposals never count toward covering the
+/// space: the stopping driver records the whole stream, exactly as a
+/// driver without the stop does, and stops only at the last grid point.
+#[test]
+fn malformed_proposals_never_end_a_session_early() {
+    let space: Space = vec![
+        ParamDef::new("tile", ParamKind::PowerOfTwo { min: 2, max: 16 }),
+        ParamDef::new("alg", ParamKind::Enum(vec!["slow".into(), "fast".into()])),
+    ]
+    .into_iter()
+    .collect();
+    assert_eq!(space.exact_size(), Some(8));
+    let mut f = |p: &Point| match (p.get("tile"), p.get("alg")) {
+        (Some(ParamValue::Int(t)), Some(ParamValue::Choice(a))) => {
+            Objective::Value(*t as f64 + *a as f64 * 0.5)
+        }
+        _ => Objective::Error,
+    };
+    let mut hostile = Hostile { queue: Vec::new() };
+    let (want, stream) = drive_without_stop(&mut hostile, &space, 100, 1, &mut f);
+    assert_eq!(stream.len(), 24);
+    assert_eq!(covering_position(&space, &stream), Some(24));
+    let got =
+        Hostile { queue: Vec::new() }.drive(&space, Bookkeeper::for_space(100, &space), &mut f);
+    assert_eq!(got, want, "the stopping driver cut the stream short");
+
+    let mut book = Bookkeeper::for_space(100, &space);
+    for (i, p) in stream.iter().enumerate() {
+        assert!(!book.done(), "stopped after {i} proposals");
+        book.record(p, |p| f(p));
+    }
+    assert!(book.done());
+    assert_eq!(book.covered(), 8);
+    assert_eq!(book.stop_reason(), StopReason::SpaceSpent);
+}

@@ -461,3 +461,72 @@ fn appends_after_a_torn_tail_start_a_fresh_line() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// Total bytes of the files directly under `dir`.
+fn dir_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum()
+}
+
+/// A pure replay re-derives its prior session's summary record bit for
+/// bit; the store skips the identical copy, so replays add no bytes to
+/// the log — single-file or sharded — and session retrieval answers
+/// exactly as before.
+#[test]
+fn pure_replays_add_no_bytes_and_keep_retrieval() {
+    use locus::store::ShardedStore;
+
+    let source = two_region_source("1.5");
+    let locus = mm_program();
+    let path = tmp_path("replay-bytes");
+    let dir = std::env::temp_dir().join(format!(
+        "locus-store-persistence-{}-replay-bytes.d",
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+
+    {
+        let mut store = TuningStore::open(&path).unwrap();
+        session(&source, &locus, StoreHandle::Single(&mut store));
+    }
+    let retrieve = || {
+        let store = TuningStore::open_read_only(&path).unwrap();
+        let (_, first) = store
+            .sessions()
+            .next()
+            .expect("the cold session left a summary");
+        let shape = first.shape;
+        let sessions = store.sessions().count();
+        let nearest = store
+            .nearest_session(&shape, u32::MAX)
+            .map(|(s, d)| (s.clone(), d));
+        (shape, sessions, nearest)
+    };
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    let (shape, sessions, nearest) = retrieve();
+    for _ in 0..2 {
+        let mut store = TuningStore::open(&path).unwrap();
+        let (_, report) = session(&source, &locus, StoreHandle::Single(&mut store));
+        assert_eq!(report.evaluations(), 0, "a pure replay");
+    }
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
+    assert_eq!(retrieve(), (shape, sessions, nearest.clone()));
+
+    let sharded = ShardedStore::open(&dir, 4).unwrap();
+    session(&source, &locus, StoreHandle::Sharded(&sharded));
+    let bytes = dir_bytes(&dir);
+    let want = sharded.nearest_session(&shape, u32::MAX);
+    assert_eq!(want, nearest, "sharded and single-file retrieval agree");
+    for _ in 0..2 {
+        let (_, report) = session(&source, &locus, StoreHandle::Sharded(&sharded));
+        assert_eq!(report.evaluations(), 0, "a pure replay");
+    }
+    assert_eq!(dir_bytes(&dir), bytes);
+    assert_eq!(sharded.nearest_session(&shape, u32::MAX), want);
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
