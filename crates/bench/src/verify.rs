@@ -15,16 +15,20 @@ use std::time::Instant;
 
 use locus_analysis::deps::{analyze_region_conservative, DependenceInfo};
 use locus_analysis::loops::perfect_nest_loops;
-use locus_core::{LocusSystem, TuneReport, TuneRequest, TuneResult};
+use locus_core::{LocusSystem, Prepared, TuneReport, TuneRequest, TuneResult};
 use locus_corpus::dgemm_program;
 use locus_search::ExhaustiveSearch;
+use locus_space::Point;
 use locus_srcir::ast::Stmt;
+use locus_srcir::hash::fnv1a;
+use locus_srcir::print_program;
 use locus_srcir::region::{extract_region, find_regions};
 use locus_srcir::visit::{child, child_count, walk_exprs};
 use locus_srcir::HierIndex;
-use locus_verify::{explain, legal, TransformStep};
+use locus_verify::{explain, legal, memo_stats, TransformStep};
 
 use crate::bench_machine_tiny;
+use crate::fig6::fig7_locus_program;
 
 /// One checked-vs-unchecked comparison of a tuning session over a space
 /// that contains statically racy parallelization choices.
@@ -175,6 +179,90 @@ pub fn run_verify(threads: usize) -> Vec<VerifyRow> {
             threads,
         ),
     ]
+}
+
+// ---- legality memo -----------------------------------------------------
+
+/// The process-wide legality memo's counters over one pass of builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoPass {
+    /// Legality questions asked (`hits + misses`).
+    pub calls: u64,
+    /// Questions answered from the memo.
+    pub hits: u64,
+    /// Questions the engine judged.
+    pub misses: u64,
+    /// Answers the memo holds after the pass.
+    pub entries: usize,
+}
+
+/// Two sweeps of the same builds in one process: the second must be
+/// answered from the memo alone, with the same outcome at every point.
+#[derive(Debug, Clone)]
+pub struct MemoRow {
+    /// Points built per sweep.
+    pub points: usize,
+    /// Counters of the first sweep.
+    pub first: MemoPass,
+    /// Counters of the second sweep.
+    pub second: MemoPass,
+    /// Whether every point's outcome (the printed variant or the
+    /// refusal) was the same in both sweeps.
+    pub identical: bool,
+}
+
+/// Builds every point once, in order, and returns each point's outcome
+/// (the digest of the printed variant, or the refusal) with the memo's
+/// counters over the pass. The counters are the process's: they are
+/// this pass's alone only while nothing else asks legality questions.
+pub fn build_pass(
+    system: &LocusSystem,
+    source: &locus_srcir::ast::Program,
+    prepared: &Prepared,
+    points: &[Point],
+) -> (Vec<String>, MemoPass) {
+    let before = memo_stats();
+    let outcomes = points
+        .iter()
+        .map(|p| match system.build_variant(source, prepared, p) {
+            Ok(variant) => format!("ok {:016x}", fnv1a(print_program(&variant).as_bytes())),
+            Err(refusal) => format!("{refusal:?}"),
+        })
+        .collect();
+    let after = memo_stats();
+    let hits = after.hits - before.hits;
+    let misses = after.misses - before.misses;
+    let pass = MemoPass {
+        calls: hits + misses,
+        hits,
+        misses,
+        entries: after.entries,
+    };
+    (outcomes, pass)
+}
+
+/// Sweeps the builds of the whole Fig. 7 space (`fig7_locus_program(max_tile)`
+/// on `dgemm_program(n)`) twice. Run it before anything else in the
+/// process asks legality questions, and its counts repeat exactly.
+pub fn run_memo(n: usize, max_tile: i64) -> MemoRow {
+    let system = LocusSystem::new(bench_machine_tiny(2));
+    let source = dgemm_program(n);
+    let prepared = system
+        .prepare(&source, &fig7_locus_program(max_tile))
+        .expect("Fig. 7 program prepares");
+    let size = prepared
+        .space
+        .exact_size()
+        .expect("Fig. 7 space is discrete");
+    let points: Vec<Point> = (0..size).map(|i| prepared.space.point_at(i)).collect();
+    let (first_outcomes, first) = build_pass(&system, &source, &prepared, &points);
+    let (second_outcomes, second) = build_pass(&system, &source, &prepared, &points);
+    MemoRow {
+        points: points.len(),
+        first,
+        second,
+        identical: first_outcomes == second_outcomes,
+    }
 }
 
 // ---- verdict-precision sweep -------------------------------------------
@@ -410,15 +498,26 @@ fn precision_json(rows: &[PrecisionRow]) -> String {
     out
 }
 
+fn memo_pass_json(pass: &MemoPass) -> String {
+    format!(
+        "{{ \"calls\": {}, \"hits\": {}, \"misses\": {}, \"entries\": {} }}",
+        pass.calls, pass.hits, pass.misses, pass.entries
+    )
+}
+
 /// Renders the rows as a JSON document (hand-rolled; the workspace has
 /// no serde).
 pub fn to_json(rows: &[VerifyRow]) -> String {
-    to_json_with_precision(rows, &[])
+    to_json_with_precision(rows, &[], None)
 }
 
 /// Like [`to_json`], with the verdict-precision sweep appended as a
-/// `precision` array.
-pub fn to_json_with_precision(rows: &[VerifyRow], precision: &[PrecisionRow]) -> String {
+/// `precision` array and the legality-memo sweep as a `memo` object.
+pub fn to_json_with_precision(
+    rows: &[VerifyRow],
+    precision: &[PrecisionRow],
+    memo: Option<&MemoRow>,
+) -> String {
     let mut out = String::from(
         "{\n  \"benchmark\": \"verifier-pruned vs unchecked tuning session (fig6 dgemm)\",\n  \"rows\": [\n",
     );
@@ -459,13 +558,29 @@ pub fn to_json_with_precision(rows: &[VerifyRow], precision: &[PrecisionRow]) ->
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
-    if precision.is_empty() {
-        out.push_str("  ]\n}\n");
-    } else {
-        out.push_str("  ],\n  \"precision\": [\n");
+    out.push_str("  ]");
+    if !precision.is_empty() {
+        out.push_str(",\n  \"precision\": [\n");
         out.push_str(&precision_json(precision));
-        out.push_str("  ]\n}\n");
+        out.push_str("  ]");
     }
+    if let Some(m) = memo {
+        out.push_str(&format!(
+            concat!(
+                ",\n  \"memo\": {{\n",
+                "    \"points\": {},\n",
+                "    \"first\": {},\n",
+                "    \"second\": {},\n",
+                "    \"identical\": {}\n",
+                "  }}",
+            ),
+            m.points,
+            memo_pass_json(&m.first),
+            memo_pass_json(&m.second),
+            m.identical,
+        ));
+    }
+    out.push_str("\n}\n");
     out
 }
 
@@ -532,9 +647,22 @@ mod tests {
             assert_eq!(r.exact_verdicts + r.conservative_verdicts, r.steps, "{r:?}");
             assert!(r.newly_legal <= r.legal_steps, "{r:?}");
         }
-        let json = to_json_with_precision(&[], &rows);
+        let json = to_json_with_precision(&[], &rows, None);
         assert!(json.contains("\"precision\": ["), "{json}");
         assert!(json.contains("\"entry\": \"poly-syrk\""), "{json}");
+    }
+
+    #[test]
+    fn memo_sweeps_build_every_point_alike() {
+        // Other tests in this process ask legality questions too, so
+        // only the outcomes are exact here; `bench_verify --check`
+        // gates the counters in a process of their own.
+        let row = run_memo(8, 2);
+        assert_eq!(row.points, 128, "one tile size; 2 x 2 x 32 OMP choices");
+        assert!(row.identical);
+        let json = to_json_with_precision(&[], &[], Some(&row));
+        assert!(json.contains("\"memo\": {"), "{json}");
+        assert!(json.ends_with("}\n}\n"), "{json}");
     }
 
     #[test]

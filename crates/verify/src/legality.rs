@@ -7,12 +7,20 @@
 //! the same dependence-based reasoning. The engine never mutates the
 //! program: fusion legality, for instance, is judged on a privately
 //! reconstructed fused candidate.
+//!
+//! Answers are memoized process-wide (see [`memo_stats`]): a tuning
+//! session asks the same question of the same region at every point of
+//! its space, and each is judged once.
+
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 
 use locus_analysis::deps::{analyze_region, Dependence, DependenceInfo};
 use locus_analysis::loops::{canonicalize, perfect_nest_loops, CanonLoop};
 use locus_analysis::polyhedron::band_hull;
 use locus_srcir::ast::{Expr, OmpClause, Pragma, Stmt, StmtKind};
 use locus_srcir::index::HierIndex;
+use locus_srcir::printer::print_stmt;
 use locus_srcir::visit::{
     child, child_count, substitute_ident, walk_exprs, walk_exprs_in_stmt, walk_stmts,
 };
@@ -22,7 +30,7 @@ use crate::Verdict;
 
 /// One transformation step, described by what it does to the region —
 /// the vocabulary the legality engine reasons over.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TransformStep {
     /// Permute the perfect nest at the region root;
     /// `order[new_level] = old_level` over a prefix of the nest.
@@ -74,8 +82,123 @@ pub enum TransformStep {
 /// the per-module checks it replaces. Callers that know better (the
 /// paper's expert-override philosophy) skip the call entirely via their
 /// `check_legality = false` flags.
+///
+/// The answer comes from the process-wide memo when this exact question
+/// was judged before (see [`memo_stats`]).
 pub fn legal(root: &Stmt, step: &TransformStep) -> Verdict {
-    match step {
+    match MEMO.answer(root, step) {
+        Ok(_) => Verdict::Legal,
+        Err(refusal) => refusal,
+    }
+}
+
+/// Entries the process-wide legality memo holds; an answer that finds it
+/// full clears it whole first.
+pub const MEMO_CAPACITY: usize = 4096;
+
+static MEMO: LazyLock<LegalityMemo> = LazyLock::new(|| LegalityMemo::new(MEMO_CAPACITY));
+
+/// Counters of the process-wide legality memo behind [`legal`] and
+/// [`parallel_for_clauses`], since the process started.
+pub fn memo_stats() -> MemoStats {
+    MEMO.stats()
+}
+
+/// Counters of a legality memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoStats {
+    /// Questions answered from the memo.
+    pub hits: u64,
+    /// Questions the engine judged.
+    pub misses: u64,
+    /// Answers held now.
+    pub entries: usize,
+    /// Times the memo was full and cleared whole.
+    pub clears: u64,
+}
+
+/// What the engine answers: the clauses a legal step needs (only
+/// `omp parallel for` ever needs any), or the refusal.
+type Answer = Result<Vec<OmpClause>, Verdict>;
+
+/// A bounded memo of the engine's answers. Every answer is a pure
+/// function of the region and the step, so the key is exactly that: the
+/// region's printed text (the text [`locus_srcir::hash::hash_region`]
+/// digests) and the step. A hit needs equal text, never just an equal
+/// digest, since a wrong verdict could ship a racy variant. The lock is
+/// held for lookups and inserts only, never while the engine judges.
+pub(crate) struct LegalityMemo {
+    capacity: usize,
+    state: Mutex<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    answers: HashMap<(String, TransformStep), Answer>,
+    hits: u64,
+    misses: u64,
+    clears: u64,
+}
+
+impl LegalityMemo {
+    pub(crate) fn new(capacity: usize) -> LegalityMemo {
+        assert!(capacity > 0, "a legality memo holds at least one answer");
+        LegalityMemo {
+            capacity,
+            state: Mutex::default(),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> MemoStats {
+        let state = self.lock();
+        MemoStats {
+            hits: state.hits,
+            misses: state.misses,
+            entries: state.answers.len(),
+            clears: state.clears,
+        }
+    }
+
+    /// The engine's answer to `step` on `root`, judged once per key.
+    pub(crate) fn answer(&self, root: &Stmt, step: &TransformStep) -> Answer {
+        let key = (print_stmt(root), step.clone());
+        {
+            let mut state = self.lock();
+            let hit = state.answers.get(&key).cloned();
+            if let Some(answer) = hit {
+                state.hits += 1;
+                drop(state);
+                debug_assert_eq!(
+                    answer,
+                    judge(root, step),
+                    "legality memo disagrees with the engine on {step:?} at\n{}",
+                    key.0
+                );
+                return answer;
+            }
+            state.misses += 1;
+        }
+        let answer = judge(root, step);
+        let mut state = self.lock();
+        if state.answers.len() >= self.capacity && !state.answers.contains_key(&key) {
+            state.answers.clear();
+            state.clears += 1;
+        }
+        state.answers.insert(key, answer.clone());
+        answer
+    }
+
+    /// The guarded state. A panic while it was held can only have
+    /// interrupted a whole-map insert or clear or a counter bump, each of
+    /// which leaves a valid memo, so a poisoned lock is taken over as is.
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The engine itself, unmemoized: judges `step` on `root`.
+fn judge(root: &Stmt, step: &TransformStep) -> Answer {
+    let verdict = match step {
         TransformStep::Interchange { order } => interchange_verdict(root, order),
         TransformStep::Tile { target, width } => band_verdict(
             root,
@@ -93,8 +216,12 @@ pub fn legal(root: &Stmt, step: &TransformStep) -> Verdict {
         ),
         TransformStep::Fuse { first } => fuse_verdict(root, first),
         TransformStep::Distribute { target } => distribute_verdict(root, target),
-        TransformStep::ParallelFor { target } => parallel_for_verdict(root, target),
+        TransformStep::ParallelFor { target } => return omp_clauses(root, target),
         TransformStep::Vectorize { target } => vectorize_verdict(root, target),
+    };
+    match verdict {
+        Verdict::Legal => Ok(Vec::new()),
+        refusal => Err(refusal),
     }
 }
 
@@ -470,16 +597,6 @@ fn fuse_verdict(root: &Stmt, first: &HierIndex) -> Verdict {
     }
 }
 
-/// `omp parallel for` legality: no nested parallelism (neither an
-/// ancestor nor a descendant of the target may already carry the
-/// pragma), and the loop must be race-free per [`analyze_parallel_for`].
-fn parallel_for_verdict(root: &Stmt, target: &HierIndex) -> Verdict {
-    match parallel_for_clauses(root, target) {
-        Ok(_) => Verdict::Legal,
-        Err(v) => v,
-    }
-}
-
 /// Computes the data-sharing clauses `#pragma omp parallel for` on the
 /// loop at `target` must carry for the parallelization to be legal.
 ///
@@ -494,8 +611,22 @@ fn parallel_for_verdict(root: &Stmt, target: &HierIndex) -> Verdict {
 ///
 /// Errors mirror [`legal`] on [`TransformStep::ParallelFor`]: nested
 /// parallelism, unavailable dependence information, and unfixable races
-/// all yield the corresponding illegal [`Verdict`].
+/// all yield the corresponding illegal [`Verdict`]. Like [`legal`], the
+/// answer comes from the process-wide memo when it is there.
 pub fn parallel_for_clauses(root: &Stmt, target: &HierIndex) -> Result<Vec<OmpClause>, Verdict> {
+    MEMO.answer(
+        root,
+        &TransformStep::ParallelFor {
+            target: target.clone(),
+        },
+    )
+}
+
+/// `omp parallel for` legality and clauses, unmemoized: no nested
+/// parallelism (neither an ancestor nor a descendant of the target may
+/// already carry the pragma), and the loop must be race-free per
+/// [`analyze_parallel_for`] or fixable by a clause.
+fn omp_clauses(root: &Stmt, target: &HierIndex) -> Result<Vec<OmpClause>, Verdict> {
     let loop_stmt = resolve_loop(root, target)?;
     for len in 1..target.0.len() {
         let ancestor = HierIndex::new(target.0[..len].to_vec());
@@ -1109,5 +1240,113 @@ mod tests {
                 "{step:?}"
             );
         }
+    }
+
+    /// Every kind of step, at each loop of a perfect nest `depth` deep.
+    fn all_steps(depth: usize) -> Vec<TransformStep> {
+        let mut steps = vec![
+            TransformStep::Interchange { order: vec![1, 0] },
+            TransformStep::Interchange {
+                order: vec![0, 2, 1],
+            },
+            TransformStep::Fuse { first: idx("0") },
+        ];
+        for level in 1..=depth {
+            let target = HierIndex::new(vec![0; level]);
+            steps.extend([
+                TransformStep::Tile {
+                    target: target.clone(),
+                    width: 2,
+                },
+                TransformStep::UnrollAndJam {
+                    target: target.clone(),
+                },
+                TransformStep::Distribute {
+                    target: target.clone(),
+                },
+                TransformStep::ParallelFor {
+                    target: target.clone(),
+                },
+                TransformStep::Vectorize { target },
+            ]);
+        }
+        steps
+    }
+
+    #[test]
+    fn memo_answers_equal_the_engine_and_the_second_ask_hits() {
+        let memo = LegalityMemo::new(MEMO_CAPACITY);
+        let reduction = region(
+            r#"void f(int n, double s, double A[64]) {
+            for (int i = 0; i < n; i++)
+                s = s + A[i];
+            }"#,
+        );
+        let mut asked = 0;
+        for (root, depth) in [(matmul(), 3), (reduction, 1)] {
+            for step in all_steps(depth) {
+                let engine = judge(&root, &step);
+                for ask in 0..2 {
+                    assert_eq!(memo.answer(&root, &step), engine, "{step:?}");
+                    let stats = memo.stats();
+                    if ask == 0 {
+                        asked += 1;
+                        assert_eq!(stats.misses, asked, "first ask of {step:?} is judged");
+                    } else {
+                        assert_eq!(stats.misses, asked, "second ask of {step:?} is a hit");
+                    }
+                }
+            }
+        }
+        let stats = memo.stats();
+        assert_eq!(stats.entries as u64, stats.misses);
+        assert!(stats.hits >= stats.misses);
+        assert_eq!(stats.clears, 0);
+    }
+
+    #[test]
+    fn a_region_one_subscript_or_one_pragma_apart_is_judged_afresh() {
+        let memo = LegalityMemo::new(MEMO_CAPACITY);
+        let nest = |read: &str, pragma: &str| {
+            region(&format!(
+                r#"void f(int n, double A[8][8]) {{
+                for (int i = 1; i < n; i++)
+                    {pragma}
+                    for (int j = 1; j < n; j++)
+                        A[i][j] = {read} + 1.0;
+                }}"#
+            ))
+        };
+        let outer = TransformStep::ParallelFor { target: idx("0") };
+        let carried = nest("A[i - 1][j]", "");
+        let independent = nest("A[i][j - 1]", "");
+        let inner_parallel = nest("A[i][j - 1]", "#pragma omp parallel for\n");
+        assert!(memo.answer(&carried, &outer).is_err());
+        assert_eq!(memo.answer(&independent, &outer), Ok(Vec::new()));
+        let nested = memo.answer(&inner_parallel, &outer);
+        assert!(
+            matches!(&nested, Err(v) if v.reason().unwrap().contains("nested parallelism")),
+            "{nested:?}"
+        );
+        assert_eq!(memo.stats().misses, 3, "no variant may hit another's entry");
+        assert_eq!(memo.stats().hits, 0);
+    }
+
+    #[test]
+    fn a_full_memo_clears_whole_and_still_answers() {
+        let memo = LegalityMemo::new(2);
+        let root = matmul();
+        let steps = all_steps(3);
+        for (i, step) in steps.iter().enumerate() {
+            assert_eq!(memo.answer(&root, step), judge(&root, step), "{step:?}");
+            let stats = memo.stats();
+            assert_eq!(stats.entries, i % 2 + 1, "at most the capacity is held");
+            assert_eq!(stats.clears, i as u64 / 2);
+        }
+        // The first answers went with the clears: asked again, they are
+        // judged again, and still right.
+        let misses = memo.stats().misses;
+        assert_eq!(memo.answer(&root, &steps[0]), judge(&root, &steps[0]));
+        assert_eq!(memo.stats().misses, misses + 1);
     }
 }

@@ -101,7 +101,10 @@ pub fn refusal_provenance(reason: &str) -> &'static str {
     }
 }
 
-pub use legality::{explain, legal, parallel_for_clauses, Explanation, TransformStep};
+pub use legality::{
+    explain, legal, memo_stats, parallel_for_clauses, Explanation, MemoStats, TransformStep,
+    MEMO_CAPACITY,
+};
 pub use locus_analysis::deps::Provenance;
 pub use races::{analyze_parallel_for, Race, RaceFix, RaceReport};
 pub use wellformed::{validate_program, validate_region};

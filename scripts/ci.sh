@@ -35,8 +35,11 @@ cargo test -q --offline --locked --manifest-path crates/bench/src/bin/locus-benc
 # every non-donor row must transfer its recipe from the store.
 ./target/release/bench_corpus --check
 
-# Verdict-precision smoke: at least one triangular registry entry must
-# admit a legal restructuring the conservative engine refused.
+# Legality-memo and verdict-precision smoke: a second sweep of the Fig. 7
+# space's builds must be answered from the legality memo alone (zero
+# misses) and build every point as the first sweep did, and at least one
+# triangular registry entry must admit a legal restructuring the
+# conservative engine refused.
 ./target/release/bench_verify --check
 
 # Search shoot-out in check mode: MCTS or the trace sampler must beat
