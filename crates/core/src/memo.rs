@@ -5,7 +5,7 @@
 //! in fewer measurements. The parallel engine generalizes that idea
 //! with a *two-level* cache shared by every worker:
 //!
-//! 1. **Point level** — keyed by [`Point::canonical_key`]. A search
+//! 1. **Point level** — keyed by `Point::canonical_key`. A search
 //!    module re-proposing an identical assignment never re-measures it.
 //! 2. **Variant level** — keyed by an FNV-1a digest of the *direct*
 //!    Locus program the point denotes ([`super::system::LocusSystem::direct_program`]).
@@ -24,13 +24,16 @@
 //! by store-origin entries count separately ([`MemoStats::store_hits`]),
 //! so a session report can say exactly how much work prior sessions
 //! saved it.
+//!
+//! The cache is what outlives a session; what a session knows about its
+//! own points lives in the driver's session table, which asks the cache
+//! once per proposal ([`MemoCache::lookup`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use locus_search::Objective;
-use locus_space::Point;
 
 /// Where a cache entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +42,15 @@ enum Origin {
     Session,
     /// Rehydrated from the persistent tuning store.
     Store,
+}
+
+impl Origin {
+    fn label(self) -> &'static str {
+        match self {
+            Origin::Session => "session",
+            Origin::Store => "store",
+        }
+    }
 }
 
 /// Hit/miss counters of a [`MemoCache`], snapshot after a run.
@@ -67,13 +79,33 @@ impl MemoStats {
     pub fn hits(&self) -> usize {
         self.point_hits + self.variant_hits + self.store_hits
     }
+
+    /// What was counted and cached between an `earlier` snapshot of the
+    /// same cache and this one: the share of one session over a cache
+    /// other sessions used before it.
+    pub fn since(&self, earlier: &MemoStats) -> MemoStats {
+        MemoStats {
+            point_hits: self.point_hits - earlier.point_hits,
+            variant_hits: self.variant_hits - earlier.variant_hits,
+            store_hits: self.store_hits - earlier.store_hits,
+            misses: self.misses - earlier.misses,
+            unique_points: self.unique_points - earlier.unique_points,
+            unique_variants: self.unique_variants - earlier.unique_variants,
+        }
+    }
+}
+
+/// The two levels of a [`MemoCache`], behind one lock.
+#[derive(Debug, Default)]
+struct Levels {
+    points: HashMap<String, (Objective, Origin)>,
+    variants: HashMap<u64, (Objective, Origin)>,
 }
 
 /// A thread-safe two-level objective cache. See the module docs.
 #[derive(Debug, Default)]
 pub struct MemoCache {
-    points: Mutex<HashMap<String, (Objective, Origin)>>,
-    variants: Mutex<HashMap<u64, (Objective, Origin)>>,
+    levels: Mutex<Levels>,
     point_hits: AtomicUsize,
     variant_hits: AtomicUsize,
     store_hits: AtomicUsize,
@@ -86,124 +118,66 @@ impl MemoCache {
         MemoCache::default()
     }
 
-    fn count_hit(&self, origin: Origin, session_counter: &AtomicUsize) {
+    /// Looks a proposal up by its canonical point key and its variant
+    /// digest, counting one hit when either level knows it: a point-level
+    /// hit when the point level does, else a variant-level hit. The
+    /// objective comes from the variant level first — the measurement of
+    /// the program the point denotes — and the origin label
+    /// (`"session"` or `"store"`) from the point level first.
+    pub fn lookup(&self, key: &str, variant: u64) -> Option<(Objective, &'static str)> {
+        let levels = self.levels.lock().expect("memo lock");
+        let point = levels.points.get(key).copied();
+        let by_variant = levels.variants.get(&variant).copied();
+        drop(levels);
+        let (origin, counter) = match (point, by_variant) {
+            (Some((_, origin)), _) => (origin, &self.point_hits),
+            (None, Some((_, origin))) => (origin, &self.variant_hits),
+            (None, None) => return None,
+        };
         match origin {
-            Origin::Session => session_counter.fetch_add(1, Ordering::Relaxed),
+            Origin::Session => counter.fetch_add(1, Ordering::Relaxed),
             Origin::Store => self.store_hits.fetch_add(1, Ordering::Relaxed),
         };
-    }
-
-    /// Looks a point up in the point level, counting a hit when found.
-    pub fn lookup_point(&self, point: &Point) -> Option<Objective> {
-        let found = self
-            .points
-            .lock()
-            .expect("memo lock")
-            .get(&point.canonical_key())
-            .copied();
-        if let Some((_, origin)) = found {
-            self.count_hit(origin, &self.point_hits);
-        }
-        found.map(|(objective, _)| objective)
-    }
-
-    /// Looks a variant digest up, counting a hit when found.
-    pub fn lookup_variant(&self, variant: u64) -> Option<Objective> {
-        let found = self
-            .variants
-            .lock()
-            .expect("memo lock")
-            .get(&variant)
-            .copied();
-        if let Some((_, origin)) = found {
-            self.count_hit(origin, &self.variant_hits);
-        }
-        found.map(|(objective, _)| objective)
-    }
-
-    /// Reads a point entry without counting a hit (merge path).
-    pub fn peek_point(&self, point: &Point) -> Option<Objective> {
-        self.points
-            .lock()
-            .expect("memo lock")
-            .get(&point.canonical_key())
-            .map(|(objective, _)| *objective)
-    }
-
-    /// Reads a variant entry without counting a hit (merge path).
-    pub fn peek_variant(&self, variant: u64) -> Option<Objective> {
-        self.variants
-            .lock()
-            .expect("memo lock")
-            .get(&variant)
-            .map(|(objective, _)| *objective)
+        let objective = by_variant.or(point).map(|(objective, _)| objective)?;
+        Some((objective, origin.label()))
     }
 
     /// Records the objective of a point measured this session under
     /// both levels.
-    pub fn insert(&self, point: &Point, variant: u64, objective: Objective) {
-        self.points
-            .lock()
-            .expect("memo lock")
-            .insert(point.canonical_key(), (objective, Origin::Session));
-        self.variants
-            .lock()
-            .expect("memo lock")
+    pub fn insert(&self, key: &str, variant: u64, objective: Objective) {
+        let mut levels = self.levels.lock().expect("memo lock");
+        levels
+            .points
+            .insert(key.to_string(), (objective, Origin::Session));
+        levels
+            .variants
             .insert(variant, (objective, Origin::Session));
     }
 
     /// Records a point-level alias of an already-known variant. An
     /// existing entry keeps its origin (a store-rehydrated point is not
     /// demoted by the merge loop's alias insertion).
-    pub fn insert_point(&self, point: &Point, objective: Objective) {
-        self.points
-            .lock()
-            .expect("memo lock")
-            .entry(point.canonical_key())
-            .or_insert((objective, Origin::Session));
+    pub fn insert_point(&self, key: &str, objective: Objective) {
+        let mut levels = self.levels.lock().expect("memo lock");
+        if !levels.points.contains_key(key) {
+            levels
+                .points
+                .insert(key.to_string(), (objective, Origin::Session));
+        }
     }
 
     /// Rehydrates one record from the persistent store: both levels,
-    /// store origin, never overwriting session measurements. The point
-    /// is addressed by its canonical key directly — rehydration needs no
-    /// [`Point`] round-trip.
+    /// store origin, never overwriting session measurements.
     pub fn seed(&self, point_key: &str, variant: u64, objective: Objective) {
-        self.points
-            .lock()
-            .expect("memo lock")
+        let mut levels = self.levels.lock().expect("memo lock");
+        levels
+            .points
             .entry(point_key.to_string())
             .or_insert((objective, Origin::Store));
-        self.variants
-            .lock()
-            .expect("memo lock")
+        levels
+            .variants
             .entry(variant)
             .or_insert((objective, Origin::Store));
-    }
-
-    /// Reports where the entry answering a lookup for this point (or,
-    /// failing that, this variant digest) came from: `"session"` for
-    /// entries measured this run, `"store"` for entries rehydrated from
-    /// the persistent store. Does not count a hit — this is the tracing
-    /// path, called only after [`MemoCache::lookup_point`] /
-    /// [`MemoCache::lookup_variant`] already answered the proposal.
-    pub fn peek_origin(&self, point: &Point, variant: u64) -> Option<&'static str> {
-        let origin = self
-            .points
-            .lock()
-            .expect("memo lock")
-            .get(&point.canonical_key())
-            .map(|(_, origin)| *origin)
-            .or_else(|| {
-                self.variants
-                    .lock()
-                    .expect("memo lock")
-                    .get(&variant)
-                    .map(|(_, origin)| *origin)
-            })?;
-        Some(match origin {
-            Origin::Session => "session",
-            Origin::Store => "store",
-        })
     }
 
     /// Counts one within-batch coalesced duplicate as a variant hit.
@@ -218,13 +192,14 @@ impl MemoCache {
 
     /// Snapshots the counters.
     pub fn stats(&self) -> MemoStats {
+        let levels = self.levels.lock().expect("memo lock");
         MemoStats {
             point_hits: self.point_hits.load(Ordering::Relaxed),
             variant_hits: self.variant_hits.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            unique_points: self.points.lock().expect("memo lock").len(),
-            unique_variants: self.variants.lock().expect("memo lock").len(),
+            unique_points: levels.points.len(),
+            unique_variants: levels.variants.len(),
         }
     }
 }
@@ -232,22 +207,19 @@ impl MemoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locus_space::ParamValue;
-
-    fn point(v: i64) -> Point {
-        let mut p = Point::new();
-        p.set("x", ParamValue::Int(v));
-        p
-    }
 
     #[test]
     fn point_level_round_trip() {
         let cache = MemoCache::new();
-        assert!(cache.lookup_point(&point(1)).is_none());
-        cache.insert(&point(1), 0xabcd, Objective::Value(2.5));
-        assert_eq!(cache.lookup_point(&point(1)), Some(Objective::Value(2.5)));
+        assert!(cache.lookup("x=1", 0xabcd).is_none());
+        cache.insert("x=1", 0xabcd, Objective::Value(2.5));
+        assert_eq!(
+            cache.lookup("x=1", 0xabcd),
+            Some((Objective::Value(2.5), "session"))
+        );
         let stats = cache.stats();
         assert_eq!(stats.point_hits, 1);
+        assert_eq!(stats.variant_hits, 0, "one hit per lookup");
         assert_eq!(stats.unique_points, 1);
         assert_eq!(stats.unique_variants, 1);
     }
@@ -255,33 +227,70 @@ mod tests {
     #[test]
     fn variant_level_serves_aliasing_points() {
         let cache = MemoCache::new();
-        cache.insert(&point(1), 7, Objective::Value(1.0));
+        cache.insert("x=1", 7, Objective::Value(1.0));
         // A different point, same variant digest: answered by level 2.
-        assert!(cache.lookup_point(&point(2)).is_none());
-        assert_eq!(cache.lookup_variant(7), Some(Objective::Value(1.0)));
-        cache.insert_point(&point(2), Objective::Value(1.0));
-        assert_eq!(cache.lookup_point(&point(2)), Some(Objective::Value(1.0)));
+        assert_eq!(
+            cache.lookup("x=2", 7),
+            Some((Objective::Value(1.0), "session"))
+        );
+        cache.insert_point("x=2", Objective::Value(1.0));
+        assert_eq!(
+            cache.lookup("x=2", 7),
+            Some((Objective::Value(1.0), "session"))
+        );
         let stats = cache.stats();
         assert_eq!(stats.variant_hits, 1);
+        assert_eq!(stats.point_hits, 1);
         assert_eq!(stats.unique_points, 2);
         assert_eq!(stats.unique_variants, 1);
     }
 
     #[test]
-    fn peeks_do_not_count() {
+    fn lookup_reads_the_objective_from_the_variant_level_and_the_origin_from_the_point_level() {
         let cache = MemoCache::new();
-        cache.insert(&point(1), 7, Objective::Invalid);
-        assert!(cache.peek_point(&point(1)).is_some());
-        assert!(cache.peek_variant(7).is_some());
+        cache.seed("x=1", 7, Objective::Value(9.0));
+        cache.insert("x=2", 8, Objective::Value(1.0));
+        // The stored point now denotes variant 8: the variant's
+        // measurement answers, the point's store origin labels it, and
+        // the hit counts once, at the point level's origin.
+        assert_eq!(
+            cache.lookup("x=1", 8),
+            Some((Objective::Value(1.0), "store"))
+        );
+        // A point the point level does not know falls back to the
+        // variant level for both.
+        assert_eq!(
+            cache.lookup("x=3", 7),
+            Some((Objective::Value(9.0), "store"))
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.store_hits, stats.point_hits, stats.variant_hits),
+            (2, 0, 0)
+        );
+    }
+
+    #[test]
+    fn inserts_do_not_count() {
+        let cache = MemoCache::new();
+        cache.insert("x=1", 7, Objective::Invalid);
+        cache.insert_point("x=2", Objective::Invalid);
+        cache.seed("x=3", 9, Objective::Invalid);
         assert_eq!(cache.stats().hits(), 0);
     }
 
     #[test]
     fn store_seeded_entries_count_as_store_hits() {
         let cache = MemoCache::new();
-        cache.seed(&point(1).canonical_key(), 7, Objective::Value(1.0));
-        assert_eq!(cache.lookup_point(&point(1)), Some(Objective::Value(1.0)));
-        assert_eq!(cache.lookup_variant(7), Some(Objective::Value(1.0)));
+        cache.seed("x=1", 7, Objective::Value(1.0));
+        assert_eq!(
+            cache.lookup("x=1", 7),
+            Some((Objective::Value(1.0), "store"))
+        );
+        assert_eq!(
+            cache.lookup("x=2", 7),
+            Some((Objective::Value(1.0), "store"))
+        );
         let stats = cache.stats();
         assert_eq!(stats.store_hits, 2, "both levels answered from the store");
         assert_eq!(stats.point_hits, 0);
@@ -292,18 +301,44 @@ mod tests {
     #[test]
     fn seeding_never_overwrites_session_measurements() {
         let cache = MemoCache::new();
-        cache.insert(&point(1), 7, Objective::Value(1.0));
-        cache.seed(&point(1).canonical_key(), 7, Objective::Value(9.0));
-        assert_eq!(cache.lookup_point(&point(1)), Some(Objective::Value(1.0)));
+        cache.insert("x=1", 7, Objective::Value(1.0));
+        cache.seed("x=1", 7, Objective::Value(9.0));
+        assert_eq!(
+            cache.lookup("x=1", 7),
+            Some((Objective::Value(1.0), "session"))
+        );
         assert_eq!(cache.stats().point_hits, 1, "session origin preserved");
     }
 
     #[test]
     fn alias_insert_keeps_store_origin() {
         let cache = MemoCache::new();
-        cache.seed(&point(1).canonical_key(), 7, Objective::Value(1.0));
-        cache.insert_point(&point(1), Objective::Value(1.0));
-        cache.lookup_point(&point(1));
+        cache.seed("x=1", 7, Objective::Value(1.0));
+        cache.insert_point("x=1", Objective::Value(1.0));
+        cache.lookup("x=1", 7);
         assert_eq!(cache.stats().store_hits, 1);
+    }
+
+    #[test]
+    fn stats_since_an_earlier_snapshot_count_only_what_came_after() {
+        let cache = MemoCache::new();
+        cache.insert("x=1", 7, Objective::Value(1.0));
+        cache.lookup("x=1", 7);
+        let earlier = cache.stats();
+        cache.lookup("x=2", 7);
+        cache.insert("x=3", 8, Objective::Value(2.0));
+        cache.note_miss();
+        let since = cache.stats().since(&earlier);
+        assert_eq!(
+            since,
+            MemoStats {
+                point_hits: 0,
+                variant_hits: 1,
+                store_hits: 0,
+                misses: 1,
+                unique_points: 1,
+                unique_variants: 1,
+            }
+        );
     }
 }

@@ -328,14 +328,14 @@ impl LocusSystem {
 
     /// The legality oracle of [`LocusSystem::tune_parallel`]: the same
     /// answer as [`LocusSystem::legality_oracle`], read from the
-    /// session's build table when the point's verdict is known. A point
-    /// the table does not know is built once; the build waits in the
-    /// table for the driver, which then does not build it again.
+    /// session table when the point's verdict is known. A point the
+    /// table does not know is built once; the build waits in its row for
+    /// the driver, which then does not build it again.
     fn table_oracle(
         &self,
         source: &Program,
         prepared: &Prepared,
-        table: &Arc<Mutex<BuildTable>>,
+        table: &Arc<Mutex<SessionTable>>,
     ) -> locus_search::LegalityOracle {
         let sys = self.clone();
         let source = source.clone();
@@ -343,23 +343,12 @@ impl LocusSystem {
         let table = Arc::clone(table);
         Arc::new(move |point: &Point| {
             let key = point.canonical_key();
-            let known = table
-                .lock()
-                .expect("build table")
-                .entries
-                .get(&key)
-                .and_then(|e| e.legal);
-            if let Some(legal) = known {
+            if let Some(legal) = table.lock().expect("session table").verdict(&key) {
                 return legal;
             }
             let built = sys.build_variant(&source, &prepared, point);
             let legal = built.is_ok();
-            let mut table = table.lock().expect("build table");
-            table.builds += 1;
-            table.pending += 1;
-            let entry = table.entries.entry(key).or_default();
-            entry.legal = Some(legal);
-            entry.built = Some(Box::new(built));
+            table.lock().expect("session table").hold(&key, built);
             legal
         })
     }
@@ -623,25 +612,30 @@ impl LocusSystem {
     /// [`TuneReport`] always comes back: [`TuneReport::pruned_illegal`]
     /// counts the proposals the static safety verifier rejected
     /// *before* simulation, [`TuneReport::builds`] the variants built,
-    /// and [`TuneReport::memo`] holds the cache statistics of the run.
+    /// and [`TuneReport::memo`] holds the cache statistics the run added.
     ///
-    /// # One build per point, nothing past the budget or the space
+    /// # One row per point, nothing past the budget or the space
     ///
-    /// A session keeps one build table, keyed by each point's canonical
-    /// key. An entry holds the digest of the point's direct program
-    /// (rendered once per distinct point), whether the point builds,
-    /// and an oracle build the driver has not yet consumed.
+    /// A session keeps one table with a row per distinct point, found by
+    /// its canonical key (rendered once per proposal). A row holds the
+    /// digest of the point's direct program, whether the point builds,
+    /// an oracle build not yet consumed, and the variant the driver built
+    /// with the measurement its worker took.
     ///
     /// * The [`locus_search::LegalityOracle`] handed to pruning-aware
     ///   modules answers from the table first. The table is seeded from
     ///   the store records the session rehydrates (a measured point
     ///   builds; an `Invalid` or pruned one does not) and learns the same
     ///   from every point the driver resolves from the cache. A point it
-    ///   does not know is built once; the build waits in the table, and
+    ///   does not know is built once; the build waits in its row, and
     ///   build-verify takes it instead of building again. Unconsumed
     ///   builds are dropped after each batch; their verdicts stay.
-    /// * Build-verify walks each batch in proposal order and charges the
-    ///   budget as [`locus_search::Bookkeeper::record`] will: nothing for
+    /// * Build-verify walks each batch in proposal order and asks the
+    ///   cache once per proposal ([`MemoCache::lookup`]). It hands the
+    ///   merge one resolution per proposal: an objective known without
+    ///   measuring, with its origin, or the row whose variant this batch
+    ///   measures. It charges the budget as
+    ///   [`locus_search::Bookkeeper::record`] will: nothing for
     ///   a point already resolved or an `Invalid` objective, one for
     ///   anything else. It stops where
     ///   [`locus_search::Bookkeeper::done_at`] says the session is over:
@@ -652,9 +646,9 @@ impl LocusSystem {
     ///   proposals it resolved, `proposed == accounted()` holds, and
     ///   [`TuneReport::stop`] says why the session ended.
     /// * Finalize ships the winner's program with the measurement its
-    ///   worker took. Only a winner this session did not simulate (one
-    ///   answered from the store or a shared cache) is built and
-    ///   measured again.
+    ///   worker took, both from the row that built it. Only a winner this
+    ///   session did not simulate (one answered from the store or a
+    ///   shared cache) is built and measured again.
     ///
     /// # Parallel evaluation and determinism
     ///
@@ -677,7 +671,8 @@ impl LocusSystem {
     /// session — different search modules or seeds over the same source
     /// and machine — share measurements: a variant assessed by any
     /// earlier run is never measured again (the OpenTuner-memoization
-    /// effect the paper credits in Sec. IV-B). Cache entries record
+    /// effect the paper credits in Sec. IV-B). The report counts only what
+    /// this session added to the cache's statistics. Cache entries record
     /// objectives of *this* system's machine; sharing a cache between
     /// systems with different machine configurations would return stale
     /// measurements. Use one cache per (source, machine) pair.
@@ -765,15 +760,11 @@ impl LocusSystem {
             tracer,
             baseline: baseline_variant,
         } = request;
-        let fresh_cache;
-        let cache = match cache {
-            Some(cache) => cache,
-            None => {
-                fresh_cache = MemoCache::new();
-                &fresh_cache
-            }
-        };
+        let fresh_cache = MemoCache::new();
+        let cache = cache.unwrap_or(&fresh_cache);
         let tracer = &tracer;
+        // The report counts only what this session adds to a shared cache.
+        let memo_start = cache.stats();
 
         let prepared = {
             let _span = tracer.span("phase", "prepare");
@@ -787,7 +778,7 @@ impl LocusSystem {
         let expected = baseline.checksum;
         let threads = threads.max(1);
         let mut report = TuneReport::default();
-        let table = Arc::new(Mutex::new(BuildTable::default()));
+        let table = Arc::new(Mutex::new(SessionTable::default()));
 
         // Store session prologue: coherence check, cache rehydration.
         let store_key = store.as_ref().map(|_| self.store_key(source, &prepared));
@@ -798,9 +789,9 @@ impl LocusSystem {
                 .map(|(id, hash)| (id, hash.0))
                 .collect();
             report.invalidated = store.invalidate_stale(&current);
-            // Every record also tells the build table whether its point
-            // builds, so the legality oracle answers from disk too.
-            let mut table = table.lock().expect("build table");
+            // Every record also tells the session table whether its
+            // point builds, so the legality oracle answers from disk too.
+            let mut table = table.lock().expect("session table");
             store.for_each_eval(key, |record| {
                 cache.seed(&record.point_key, record.variant, record.objective);
                 table.learn(&record.point_key, record.objective);
@@ -828,37 +819,23 @@ impl LocusSystem {
             }
         }
 
-        // Tracing-only state: per-point objectives for the top-variant
-        // epilogue events. Populated only when the tracer is enabled, so
-        // the untraced driver allocates nothing here.
-        let mut traced_best: HashMap<String, (f64, Point)> = HashMap::new();
         let mut eval_index: u64 = 0;
         let search_name = search.name().to_string();
         let mut fresh_records: Vec<EvalRecord> = Vec::new();
-        // Every variant built this run, keyed by its digest and held as
-        // a [`CompiledVariant`]: workers measure through these, and the
-        // finalize step ships the winner's program from here. The
-        // programs are small region kernels, so holding them for the run
-        // is cheap next to even one simulation.
-        let mut compiled: HashMap<u64, Arc<CompiledVariant>> = HashMap::new();
         let mut fresh_prunes: Vec<PruneRecord> = Vec::new();
-
-        // Digest and measurement of the best point so far when this
-        // session simulated it, kept from the worker so finalize need not
-        // run the winner again.
-        let mut best_run: Option<(u64, Measurement)> = None;
-        let mut batch_no = 0usize;
+        // The row whose worker measured the best point so far, when this
+        // session simulated it, so finalize need not run the winner again.
+        let mut winner: Option<usize> = None;
 
         let mut book = locus_search::Bookkeeper::for_space(budget, &prepared.space);
         while !book.done() {
-            let mut batch = {
+            let batch = {
                 let _span = tracer.span("phase", "propose");
                 search.propose_batch(&prepared.space, PARALLEL_BATCH)
             };
             if batch.is_empty() {
                 break;
             }
-            batch_no += 1;
 
             // Resolve every proposal against the cache, then *build*
             // each new variant on this thread: the build runs the
@@ -876,166 +853,147 @@ impl LocusSystem {
             // the space, so nothing past either is built or measured.
             let mut used = book.evaluations();
             let mut covered = book.covered();
-            let mut batch_variant: Vec<u64> = Vec::with_capacity(batch.len());
-            // One origin label per proposal, read back by the merge
-            // loop's `eval` events. When the tracer is disabled the
-            // labels are never read; pushing `&'static str`s is free.
-            let mut batch_origin: Vec<&'static str> = Vec::with_capacity(batch.len());
-            let mut to_measure: Vec<(u64, Point, Arc<CompiledVariant>)> = Vec::new();
-            let mut measuring = std::collections::HashSet::new();
+            // Per resolved proposal: row, objective if known, origin label.
+            let mut resolved: Vec<(usize, Option<Objective>, &str)> =
+                Vec::with_capacity(batch.len());
+            // The rows whose variants this batch measures, in build order.
+            let mut to_measure: Vec<usize> = Vec::new();
             let build_span = tracer.span("phase", "build-verify");
-            let mut guard = table.lock().expect("build table");
-            let BuildTable {
-                entries,
-                pending,
-                builds,
-            } = &mut *guard;
+            let mut guard = table.lock().expect("session table");
+            let t = &mut *guard;
             for point in &batch {
                 if book.done_at(used, covered) {
                     break;
                 }
-                let entry = entries.entry(point.canonical_key()).or_default();
+                let r = t.row(&point.canonical_key());
+                let row = &mut t.rows[r];
                 // Every point resolved earlier this session — in an
                 // earlier batch or earlier in this one — is one the
                 // bookkeeper will have seen by the time it records this
                 // proposal.
-                let seen = entry.batch != 0;
+                let seen = std::mem::replace(&mut row.met, true);
                 if !seen && book.covers(point) {
                     covered += 1;
                 }
-                entry.batch = batch_no;
-                let variant = *entry.digest.get_or_insert_with(|| {
+                let variant = *row.digest.get_or_insert_with(|| {
                     locus_srcir::hash::fnv1a(self.direct_program(&prepared, point).as_bytes())
                 });
-                let oracle_build = entry.built.take();
+                let oracle_build = row.built.take();
                 if oracle_build.is_some() {
-                    *pending -= 1;
+                    t.pending -= 1;
                 }
-                batch_variant.push(variant);
-                // Whether the proposal's objective is not `Invalid`, and
-                // so costs budget unless the point was seen before.
-                let charged = if cache.lookup_point(point).is_some()
-                    || cache.lookup_variant(variant).is_some()
-                {
-                    batch_origin.push(if tracer.is_enabled() {
-                        cache.peek_origin(point, variant).unwrap_or("session")
+                let (known, origin) =
+                    if let Some((objective, origin)) = cache.lookup(&row.key, variant) {
+                        row.learn(objective);
+                        (Some(objective), origin)
+                    } else if t.variants.contains_key(&variant) {
+                        // A variant this batch already measures: its
+                        // objective is a `Value` or an `Error`.
+                        cache.note_coalesced();
+                        (None, "coalesced")
                     } else {
-                        "hit"
-                    });
-                    let objective = cache
-                        .peek_variant(variant)
-                        .or_else(|| cache.peek_point(point))
-                        .expect("a cache hit has an entry");
-                    entry.learn(objective);
-                    objective != Objective::Invalid
-                } else if !measuring.insert(variant) {
-                    // A variant this batch already measures: its
-                    // objective is a `Value` or an `Error`.
-                    cache.note_coalesced();
-                    batch_origin.push("coalesced");
-                    true
-                } else {
-                    let start = std::time::Instant::now();
-                    let built = match oracle_build {
-                        Some(built) => *built,
-                        None => {
-                            *builds += 1;
-                            self.build_variant(source, &prepared, point)
+                        let start = std::time::Instant::now();
+                        let built = match oracle_build {
+                            Some(built) => *built,
+                            None => {
+                                t.builds += 1;
+                                self.build_variant(source, &prepared, point)
+                            }
+                        };
+                        row.legal = Some(built.is_ok());
+                        match built {
+                            Ok(program) => {
+                                // Wrap for batched evaluation: the worker that
+                                // measures it compiles it, off the main thread.
+                                row.run = Some(Box::new(Run {
+                                    compiled: CompiledVariant::new(program, &self.entry),
+                                    measured: None,
+                                }));
+                                t.variants.insert(variant, r);
+                                to_measure.push(r);
+                                (None, "fresh")
+                            }
+                            Err(VariantOutcome::Illegal(reason)) => {
+                                // Pruned: no measurement happened, so no
+                                // `note_miss` — the point simply never costs an
+                                // evaluation.
+                                let provenance = locus_verify::refusal_provenance(&reason);
+                                tracer.instant("verify", "prune", || {
+                                    vec![
+                                        kv("point", &*row.key),
+                                        kv("category", locus_verify::refusal_category(&reason)),
+                                        kv("provenance", provenance),
+                                        kv("reason", reason.clone()),
+                                    ]
+                                });
+                                cache.insert(&row.key, variant, Objective::Invalid);
+                                report.pruned_illegal += 1;
+                                if store.is_some() {
+                                    fresh_prunes.push(PruneRecord {
+                                        point_key: row.key.to_string(),
+                                        variant,
+                                        reason,
+                                        provenance: provenance.to_string(),
+                                        search: search_name.clone(),
+                                    });
+                                }
+                                (Some(Objective::Invalid), "pruned")
+                            }
+                            Err(outcome) => {
+                                // A failed build simulates nothing: it is no
+                                // cache miss, but it is stored and, unless
+                                // `Invalid`, charged like an evaluation.
+                                let (objective, origin) = match outcome {
+                                    VariantOutcome::Invalid(_) => (Objective::Invalid, "invalid"),
+                                    _ => (Objective::Error, "error"),
+                                };
+                                report.build_failed += 1;
+                                cache.insert(&row.key, variant, objective);
+                                if store.is_some() {
+                                    fresh_records.push(EvalRecord {
+                                        point_key: row.key.to_string(),
+                                        variant,
+                                        objective,
+                                        cycles: 0.0,
+                                        ops: 0,
+                                        flops: 0,
+                                        checksum: 0,
+                                        search: search_name.clone(),
+                                        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                                    });
+                                }
+                                (Some(objective), origin)
+                            }
                         }
                     };
-                    entry.legal = Some(built.is_ok());
-                    match built {
-                        Ok(program) => {
-                            batch_origin.push("fresh");
-                            // Wrap for batched evaluation: the worker that
-                            // measures it compiles it, off the main thread.
-                            let cv = Arc::new(CompiledVariant::new(program, &self.entry));
-                            compiled.insert(variant, Arc::clone(&cv));
-                            to_measure.push((variant, point.clone(), cv));
-                            true
-                        }
-                        Err(VariantOutcome::Illegal(reason)) => {
-                            // Pruned: no measurement happened, so no
-                            // `note_miss` — the point simply never costs an
-                            // evaluation.
-                            batch_origin.push("pruned");
-                            let provenance = locus_verify::refusal_provenance(&reason);
-                            tracer.instant("verify", "prune", || {
-                                vec![
-                                    kv("point", point.canonical_key()),
-                                    kv("category", locus_verify::refusal_category(&reason)),
-                                    kv("provenance", provenance),
-                                    kv("reason", reason.clone()),
-                                ]
-                            });
-                            cache.insert(point, variant, Objective::Invalid);
-                            report.pruned_illegal += 1;
-                            if store.is_some() {
-                                fresh_prunes.push(PruneRecord {
-                                    point_key: point.canonical_key(),
-                                    variant,
-                                    reason,
-                                    provenance: provenance.to_string(),
-                                    search: search_name.clone(),
-                                });
-                            }
-                            false
-                        }
-                        Err(outcome) => {
-                            // A failed build simulates nothing: it is no
-                            // cache miss, but it is stored and, unless
-                            // `Invalid`, charged like an evaluation.
-                            let objective = match outcome {
-                                VariantOutcome::Invalid(_) => Objective::Invalid,
-                                _ => Objective::Error,
-                            };
-                            batch_origin.push(match objective {
-                                Objective::Invalid => "invalid",
-                                _ => "error",
-                            });
-                            report.build_failed += 1;
-                            cache.insert(point, variant, objective);
-                            if store.is_some() {
-                                fresh_records.push(EvalRecord {
-                                    point_key: point.canonical_key(),
-                                    variant,
-                                    objective,
-                                    cycles: 0.0,
-                                    ops: 0,
-                                    flops: 0,
-                                    checksum: 0,
-                                    search: search_name.clone(),
-                                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                                });
-                            }
-                            objective != Objective::Invalid
-                        }
-                    }
-                };
-                if charged && !seen {
+                // A proposal whose objective is not `Invalid` costs
+                // budget unless the point was seen before.
+                if known != Some(Objective::Invalid) && !seen {
                     used += 1;
                 }
+                resolved.push((r, known, origin));
             }
             // Oracle builds the batch did not consume (refused or cut
             // points) are dropped; their verdicts stay.
-            if *pending > 0 {
-                entries.values_mut().for_each(|e| e.built = None);
-                *pending = 0;
+            if t.pending > 0 {
+                t.rows.iter_mut().for_each(|row| row.built = None);
+                t.pending = 0;
             }
-            drop(guard);
             drop(build_span);
-            batch.truncate(batch_variant.len());
-            report.proposed += batch.len();
+            report.proposed += resolved.len();
 
             // Fan the fresh measurements out over the worker pool. Each
             // worker owns a clone of the system (and thus the machine);
             // an atomic cursor deals work out. Workers only *measure* —
             // every program handed to them was built (and statically
             // vetted) on the main thread above.
-            let mut measured: Vec<Option<Measurement>> = Vec::with_capacity(to_measure.len());
             if !to_measure.is_empty() {
                 let _span = tracer.span("phase", "measure");
-                let work = &to_measure;
+                let work: Vec<&CompiledVariant> = to_measure
+                    .iter()
+                    .map(|&r| &t.rows[r].run().compiled)
+                    .collect();
+                let work = &work;
                 let cursor = AtomicUsize::new(0);
                 let cursor = &cursor;
                 // Per slot: the objective, the measurement behind a
@@ -1057,7 +1015,7 @@ impl LocusSystem {
                         let sys = self.clone();
                         scope.spawn(move || loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((_, _, variant)) = work.get(i) else {
+                            let Some(variant) = work.get(i) else {
                                 break;
                             };
                             let start = std::time::Instant::now();
@@ -1078,19 +1036,21 @@ impl LocusSystem {
                 for slot in slot_tracers {
                     tracer.absorb(slot.drain());
                 }
-                for ((variant, point, _), slot) in work.iter().zip(results) {
+                for (&r, slot) in to_measure.iter().zip(results) {
                     let (objective, m, wall_ms) = slot
                         .lock()
                         .expect("result slot")
                         .take()
                         .expect("worker filled every dealt slot");
+                    let row = &mut t.rows[r];
+                    let variant = row.digest.expect("the walk digests every row it builds");
                     cache.note_miss();
-                    cache.insert(point, *variant, objective);
+                    cache.insert(&row.key, variant, objective);
                     if store.is_some() {
                         let m = m.as_ref();
                         fresh_records.push(EvalRecord {
-                            point_key: point.canonical_key(),
-                            variant: *variant,
+                            point_key: row.key.to_string(),
+                            variant,
                             objective,
                             cycles: m.map_or(0.0, |m| m.cycles),
                             ops: m.map_or(0, |m| m.ops),
@@ -1100,31 +1060,37 @@ impl LocusSystem {
                             wall_ms,
                         });
                     }
-                    measured.push(m);
+                    row.run.as_mut().expect("the walk built it").measured = Some((objective, m));
                 }
             }
+            drop(guard);
 
             // Deterministic merge: feed results back in proposal order
             // through the same bookkeeping the sequential driver uses.
             let _span = tracer.span("phase", "merge");
-            for ((point, variant), origin) in batch.iter().zip(&batch_variant).zip(&batch_origin) {
+            for (point, &(r, known, origin)) in batch.iter().zip(&resolved) {
                 debug_assert!(!book.done(), "the walk stops where the bookkeeper does");
-                let objective = cache
-                    .peek_variant(*variant)
-                    .or_else(|| cache.peek_point(point))
-                    .expect("every batch point resolved");
-                cache.insert_point(point, objective);
+                let mut guard = table.lock().expect("session table");
+                let t = &mut *guard;
+                let variant = t.rows[r]
+                    .digest
+                    .expect("the walk digests every row it resolves");
+                // A proposal the walk did not answer takes the measurement
+                // of the row that built its variant this batch.
+                let owner = known.is_none().then(|| t.variants[&variant]);
+                let objective = known.unwrap_or_else(|| {
+                    let measured = t.rows[owner.unwrap()].run().measured.as_ref();
+                    measured.expect("the batch was measured").0
+                });
+                let row = &mut t.rows[r];
+                cache.insert_point(&row.key, objective);
                 let best_before = book.best_value().map(f64::to_bits);
                 let (recorded, fresh) = book.record(point, |_| objective);
                 if book.best_value().map(f64::to_bits) != best_before {
-                    // A new best: keep its measurement when this batch
-                    // simulated it. A winner answered from the store or a
-                    // shared cache is measured by finalize instead.
-                    best_run = to_measure
-                        .iter()
-                        .zip(&measured)
-                        .find(|((v, _, _), _)| v == variant)
-                        .and_then(|(_, m)| Some((*variant, m.clone()?)));
+                    // A new best: keep the row whose worker measured it.
+                    // A winner answered from the store or a shared cache
+                    // is measured by finalize instead.
+                    winner = owner;
                 }
                 if tracer.is_enabled() {
                     eval_index += 1;
@@ -1133,18 +1099,15 @@ impl LocusSystem {
                         Objective::Invalid => (None, "invalid"),
                         Objective::Error => (None, "error"),
                     };
-                    let key = point.canonical_key();
                     if let Some(v) = value {
-                        traced_best
-                            .entry(key.clone())
-                            .or_insert_with(|| (v, point.clone()));
+                        row.top.get_or_insert_with(|| Box::new((v, point.clone())));
                     }
                     tracer.instant("eval", "point", || {
                         let mut args = vec![
                             kv("index", eval_index),
-                            kv("point", key),
+                            kv("point", &*row.key),
                             kv("variant", format!("{variant:016x}")),
-                            kv("origin", *origin),
+                            kv("origin", origin),
                             kv("verdict", verdict),
                             kv("fresh", fresh),
                         ];
@@ -1154,6 +1117,7 @@ impl LocusSystem {
                         args
                     });
                 }
+                drop(guard);
                 search.observe(point, recorded, fresh);
             }
             debug_assert_eq!(
@@ -1165,11 +1129,14 @@ impl LocusSystem {
         report.stop = book.stop_reason();
         let outcome = book.finish();
 
+        let table = table.lock().expect("session table");
         let best = {
             let _span = tracer.span("phase", "finalize-best");
             outcome.best.clone().and_then(|(point, _)| {
-                if let Some((digest, m)) = best_run {
-                    return Some((point, compiled[&digest].program().clone(), m));
+                if let Some(run) = winner.map(|w| table.rows[w].run()) {
+                    if let Some((_, Some(m))) = &run.measured {
+                        return Some((point, run.compiled.program().clone(), m.clone()));
+                    }
                 }
                 // A winner this session never simulated (resolved from
                 // the store or a shared cache) is built and measured.
@@ -1183,7 +1150,7 @@ impl LocusSystem {
                 }
             })
         };
-        report.builds += table.lock().expect("build table").builds;
+        report.builds += table.builds;
 
         // Store session epilogue: persist fresh measurements and a
         // session summary (region profile + winning recipe) the
@@ -1216,21 +1183,29 @@ impl LocusSystem {
                 }
             }
         }
-        report.memo = cache.stats();
+        report.memo = cache.stats().since(&memo_start);
 
         // Trace epilogue: the top variants (with their shippable direct
         // recipes) and a session summary carrying the full report
         // accounting — the raw material of `locus-report`.
         if tracer.is_enabled() {
-            let mut ranked: Vec<(&String, &(f64, Point))> = traced_best.iter().collect();
-            ranked.sort_by(|a, b| a.1 .0.total_cmp(&b.1 .0).then_with(|| a.0.cmp(b.0)));
-            for (rank, (key, (ms, point))) in ranked.into_iter().take(3).enumerate() {
+            let mut ranked: Vec<(&str, f64, &Point)> = table
+                .rows
+                .iter()
+                .filter_map(|row| {
+                    row.top
+                        .as_deref()
+                        .map(|(ms, point)| (&*row.key, *ms, point))
+                })
+                .collect();
+            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+            for (rank, (key, ms, point)) in ranked.into_iter().take(3).enumerate() {
                 let recipe = self.direct_program(&prepared, point);
                 tracer.instant("eval", "top-variant", || {
                     vec![
                         kv("rank", (rank + 1) as u64),
-                        kv("point", key.as_str()),
-                        kv("ms", *ms),
+                        kv("point", key),
+                        kv("ms", ms),
                         kv("recipe", recipe),
                     ]
                 });
@@ -1276,51 +1251,84 @@ impl LocusSystem {
     }
 }
 
-/// One tuning session's build table, keyed by canonical point key: what
-/// the session knows about each point's variant. The legality oracle,
-/// the driver's build-verify step and finalize all read it, so each
-/// point is built at most once per session.
+/// What one tuning session knows about its points, one row per distinct
+/// point, shared by the legality oracle, build-verify, the merge,
+/// finalize and the trace epilogue.
 #[derive(Default)]
-struct BuildTable {
-    entries: HashMap<String, BuildEntry>,
-    /// Entries holding an oracle build the driver has not consumed.
+struct SessionTable {
+    rows: Vec<Row>,
+    /// The row of each canonical point key.
+    index: HashMap<Arc<str>, usize>,
+    /// The row that built each variant this session measured. A measured
+    /// variant is in the cache, so a digest the cache lacks but this map
+    /// holds is one the current batch is measuring.
+    variants: HashMap<u64, usize>,
+    /// Rows holding an oracle build the driver has not consumed.
     pending: usize,
     /// `build_variant` calls made through the table.
     builds: usize,
 }
 
-impl BuildTable {
-    /// Records the verdict of a stored objective (see
-    /// [`BuildEntry::learn`]) without adding an entry for an `Error`.
-    fn learn(&mut self, key: &str, objective: Objective) {
-        if objective == Objective::Error {
-            return;
+impl SessionTable {
+    /// The row of `key`, added empty when the session has not met it.
+    fn row(&mut self, key: &str) -> usize {
+        if let Some(&r) = self.index.get(key) {
+            return r;
         }
-        match self.entries.get_mut(key) {
-            Some(entry) => entry.learn(objective),
-            None => {
-                let mut entry = BuildEntry::default();
-                entry.learn(objective);
-                self.entries.insert(key.to_string(), entry);
-            }
+        let key: Arc<str> = Arc::from(key);
+        self.index.insert(Arc::clone(&key), self.rows.len());
+        self.rows.push(Row {
+            key,
+            ..Row::default()
+        });
+        self.rows.len() - 1
+    }
+
+    /// Whether the point of `key` builds, when the session knows.
+    fn verdict(&self, key: &str) -> Option<bool> {
+        self.index.get(key).and_then(|&r| self.rows[r].legal)
+    }
+
+    /// Keeps an oracle build for the driver to consume.
+    fn hold(&mut self, key: &str, built: Result<Program, VariantOutcome>) {
+        self.builds += 1;
+        self.pending += 1;
+        let r = self.row(key);
+        self.rows[r].legal = Some(built.is_ok());
+        self.rows[r].built = Some(Box::new(built));
+    }
+
+    /// Records the verdict of a stored objective (see [`Row::learn`])
+    /// without adding a row for an `Error`.
+    fn learn(&mut self, key: &str, objective: Objective) {
+        if objective != Objective::Error {
+            let r = self.row(key);
+            self.rows[r].learn(objective);
         }
     }
 }
 
+/// One point of a [`SessionTable`].
 #[derive(Default)]
-struct BuildEntry {
+struct Row {
+    /// The point's canonical key.
+    key: Arc<str>,
     /// FNV-1a digest of the point's direct program, once rendered.
     digest: Option<u64>,
     /// Whether the point builds (`build_variant(..).is_ok()`), once known.
     legal: Option<bool>,
     /// The oracle's build, held until the driver consumes it.
     built: Option<Box<Result<Program, VariantOutcome>>>,
-    /// The driver batch that last resolved the point; 0 before the
-    /// first.
-    batch: usize,
+    /// The variant this row built for the workers, kept for finalize;
+    /// boxed, as most rows (rehydrated or hits) never build one.
+    run: Option<Box<Run>>,
+    /// The first value the merge recorded, for the trace's top variants.
+    top: Option<Box<(f64, Point)>>,
+    /// Whether a driver batch has resolved the point.
+    met: bool,
 }
 
-impl BuildEntry {
+impl Row {
     /// Records the verdict an objective implies: a measured point
     /// builds, an `Invalid` one does not, an `Error` one may do either.
     /// A known verdict is kept.
@@ -1332,6 +1340,18 @@ impl BuildEntry {
         };
         self.legal = self.legal.or(Some(legal));
     }
+
+    fn run(&self) -> &Run {
+        self.run.as_ref().expect("the row built a variant")
+    }
+}
+
+/// A variant built for the workers, and what its worker measured.
+struct Run {
+    compiled: CompiledVariant,
+    /// The objective and, behind a `Value`, the measurement; set once
+    /// the batch that built the variant is measured.
+    measured: Option<(Objective, Option<Measurement>)>,
 }
 
 /// The regions of `source` the prepared program actually matches, as

@@ -2,11 +2,11 @@
 //!
 //! One request per line, one response line per request, over a TCP
 //! stream. Lines are read by the store's flat-JSON reader
-//! ([`locus_store::record::read_object`]) and written in the same
-//! dialect — flat objects only, string values escaped, `f64`
-//! values carried as exact bit patterns (16 hex digits) with an
-//! approximate `_dec` sibling for human readers, so a tuning result
-//! survives the wire bit-identically.
+//! ([`locus_store::record::read_object`]) and written by its writer
+//! ([`locus_store::record::push_str_field`] and siblings) — flat
+//! objects only, string values escaped, `f64` values carried as exact
+//! bit patterns (16 hex digits) with an approximate `_dec` sibling for
+//! human readers, so a tuning result survives the wire bit-identically.
 //!
 //! Robustness contract (pinned by `tests/daemon_protocol.rs`): a
 //! malformed, truncated, or oversized request line yields a structured
@@ -15,7 +15,9 @@
 
 use std::fmt;
 
-use locus_store::record::{read_object, read_string, Field};
+use locus_store::record::{
+    finish, push_bits_field, push_raw_field, push_str_field, read_object, read_string, Field,
+};
 
 /// Hard cap on one request or response line, in bytes (excluding the
 /// newline). Oversized requests are answered with an
@@ -361,10 +363,7 @@ impl Response {
             match value {
                 WireValue::Str(s) => push_str_field(&mut out, key, s),
                 WireValue::U64(n) => push_raw_field(&mut out, key, n),
-                WireValue::F64(x) => {
-                    push_str_field(&mut out, key, &format!("{:016x}", x.to_bits()));
-                    push_raw_field(&mut out, &format!("{key}_dec"), format!("{x:.6}"));
-                }
+                WireValue::F64(x) => push_bits_field(&mut out, key, *x),
             }
         }
         finish(out)
@@ -426,48 +425,8 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Flat JSON codec (the store's dialect; reading is shared with it)
+// Flat JSON codec: the store's reader and writer
 // ---------------------------------------------------------------------
-
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    escape(value, out);
-    out.push(',');
-}
-
-fn push_raw_field(out: &mut String, key: &str, value: impl fmt::Display) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-fn finish(mut out: String) -> String {
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push('}');
-    out
-}
 
 /// Reads one wire line with the store's flat-JSON reader. Unlike a
 /// store line, a wire line may carry nothing after its closing `}`.
@@ -556,6 +515,30 @@ mod tests {
         assert!(!back.ok);
         assert_eq!(back.error_code(), Some(codes::PANIC));
         assert_eq!(back.get_str("message"), Some("worker died: boom"));
+    }
+
+    #[test]
+    fn wire_lines_are_byte_exact() {
+        let mut req = Request::new("r-\"1\"\n", Op::Tune);
+        req.kernel = "dgemm".into();
+        req.search = "exhaustive".into();
+        req.seed = 11;
+        req.budget = 24;
+        req.threads = 4;
+        req.machine = "manycore".into();
+        req.deadline_ms = Some(5000);
+        assert_eq!(
+            req.encode(),
+            r#"{"id":"r-\"1\"\n","op":"tune","kernel":"dgemm","search":"exhaustive","seed":11,"budget":24,"threads":4,"machine":"manycore","deadline_ms":5000}"#
+        );
+        let resp = Response::ok("r-2")
+            .with_str("best_point", "tileI=i16;\t\u{1}")
+            .with_u64("evaluations", 12)
+            .with_f64("best_ms", 0.5);
+        assert_eq!(
+            resp.encode(),
+            r#"{"id":"r-2","status":"ok","best_point":"tileI=i16;\t\u0001","evaluations":12,"best_ms":"3fe0000000000000","best_ms_dec":0.500000}"#
+        );
     }
 
     #[test]

@@ -40,14 +40,14 @@
 
 #![warn(missing_docs)]
 
-mod bytecode2;
+mod bytecode;
 pub mod cache;
 pub mod cost;
 pub mod interp;
 pub mod profiles;
 mod regalloc;
 mod runtime;
-mod vm2;
+mod vm;
 
 pub use cache::{CacheConfig, CacheHierarchy, CacheStats, Level};
 pub use cost::{CostModel, OmpModel};
@@ -260,8 +260,8 @@ impl Machine {
                 // errors, matching `Interp::new`'s order.
                 let cache = cache::CacheHierarchy::new(&self.config.cache)
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = regalloc::compile2(program, &self.config, entry)?;
-                vm2::run(&exe, &self.config, cache)
+                let exe = regalloc::compile(program, &self.config, entry)?;
+                vm::run(&exe, &self.config, cache)
             }
         }
     }
@@ -308,10 +308,10 @@ impl Machine {
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
                 let exe = {
                     let _span = tracer.span("machine", "compile-regvm");
-                    regalloc::compile2(program, &self.config, entry)?
+                    regalloc::compile(program, &self.config, entry)?
                 };
                 let _span = tracer.span("machine", "vm-measure");
-                vm2::run(&exe, &self.config, cache)
+                vm::run(&exe, &self.config, cache)
             }
         }
     }
@@ -338,7 +338,7 @@ impl Machine {
 pub struct CompiledVariant {
     program: Program,
     entry: String,
-    memo: std::sync::Mutex<Vec<(u64, Arc<bytecode2::Exe2>)>>,
+    memo: std::sync::Mutex<Vec<(u64, Arc<bytecode::Exe>)>>,
 }
 
 /// FNV-1a digest of the configuration fields that influence *lowering*
@@ -430,7 +430,7 @@ impl CompiledVariant {
                 // successful entries only).
                 let compiled = {
                     let _span = tracer.span("machine", "compile-regvm");
-                    Arc::new(regalloc::compile2(&self.program, config, &self.entry)?)
+                    Arc::new(regalloc::compile(&self.program, config, &self.entry)?)
                 };
                 let mut memo = self.memo.lock().expect("compile memo poisoned");
                 if !memo.iter().any(|(k, _)| *k == key) {
@@ -440,7 +440,7 @@ impl CompiledVariant {
             }
         };
         let _span = tracer.span("machine", "vm-measure");
-        vm2::run(&exe, config, cache)
+        vm::run(&exe, config, cache)
     }
 }
 

@@ -1,9 +1,9 @@
 //! One-pass lowering from the mini-C AST to register bytecode
-//! ([`crate::bytecode2`]).
+//! ([`crate::bytecode`]).
 //!
 //! Mirrors the tree interpreter ([`crate::interp`]) construct by
 //! construct — same fuel ticks, same charge order, same error points
-//! (the rules are in the [`crate::bytecode2`] module docs) — but
+//! (the rules are in the [`crate::bytecode`] module docs) — but
 //! targets a virtual register frame. Scalars resolve to the low
 //! registers (slots), expression temporaries are allocated above a
 //! pre-scanned slot bound and reset per statement, and operands are
@@ -50,8 +50,8 @@ use std::collections::{HashMap, HashSet};
 
 use locus_srcir::ast::{BinOp, Expr, Item, Pragma, Program, Stmt, StmtKind, Type, UnOp};
 
-use crate::bytecode2::{
-    AllocDesc, DimStep, Exe2, HotLoopDesc, NavDesc, Opnd, RInsn, RTail, RegId, SubIdx, MAX_NAV_DIMS,
+use crate::bytecode::{
+    AllocDesc, DimStep, Exe, HotLoopDesc, NavDesc, Opnd, RInsn, RTail, RegId, SubIdx, MAX_NAV_DIMS,
 };
 use crate::interp::{apply_bin, collect_auto_vectorizable, RuntimeError, Value};
 use crate::runtime::{
@@ -61,11 +61,11 @@ use crate::MachineConfig;
 
 /// Lowers `program` for running `entry`, mirroring the setup work and
 /// setup-time errors of `Interp::new` + `Interp::run`.
-pub(crate) fn compile2(
+pub(crate) fn compile(
     program: &Program,
     config: &MachineConfig,
     entry: &str,
-) -> Result<Exe2, RuntimeError> {
+) -> Result<Exe, RuntimeError> {
     let mut c = Compiler2::new(config);
     for item in &program.items {
         if let Item::Global(stmt) = item {
@@ -276,10 +276,10 @@ impl<'p> Compiler2<'p> {
         }
     }
 
-    fn finish(mut self) -> Exe2 {
+    fn finish(mut self) -> Exe {
         debug_assert_eq!(self.fuel_pending, 0, "Halt flushes pending fuel");
         let hotloops = fuse_hot_loops(&mut self.code);
-        Exe2 {
+        Exe {
             code: self.code,
             hotloops,
             n_regs: self.high_water as usize,
@@ -1578,11 +1578,11 @@ fn cast_kind(ty: &Type) -> CastKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode2::RInsn;
+    use crate::bytecode::RInsn;
 
-    fn compile_src(src: &str) -> Exe2 {
+    fn compile_src(src: &str) -> Exe {
         let program = locus_srcir::parse_program(src).expect("parses");
-        compile2(&program, &crate::MachineConfig::scaled_small(), "kernel").expect("compiles")
+        compile(&program, &crate::MachineConfig::scaled_small(), "kernel").expect("compiles")
     }
 
     /// The raw-speed contract of the register tier on its hottest

@@ -85,7 +85,7 @@ pub(crate) enum CastKind {
     Keep,
 }
 
-/// Runtime error raised by a [`crate::bytecode2::RInsn::Throw`].
+/// Runtime error raised by a [`crate::bytecode::RInsn::Throw`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ThrowKind {
     /// [`crate::RuntimeError::UndefinedVariable`].

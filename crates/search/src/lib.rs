@@ -214,8 +214,11 @@ pub trait SearchModule {
     /// Proposes up to `k` points for (possibly parallel) evaluation.
     ///
     /// The default implementation asks [`SearchModule::propose`] `k`
-    /// times; modules with batch-aware strategies (technique fan-out,
-    /// per-member shares) override it.
+    /// times, and every module in this crate keeps it: a module that
+    /// needs batch structure (MCTS, the trace sampler) buffers its
+    /// observations per [`OBSERVATION_BLOCK`] instead. A wrapper that
+    /// instruments a module (timing its proposals, say) overrides it to
+    /// forward the whole batch.
     fn propose_batch(&mut self, space: &Space, k: usize) -> Vec<Point> {
         let mut out = Vec::with_capacity(k);
         for _ in 0..k {

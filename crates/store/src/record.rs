@@ -169,7 +169,10 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
+/// Appends `"key":"value",` to a flat JSON object under construction,
+/// with `value` escaped. The writer of the store's lines and of the
+/// `locusd` wire: start with `{`, push fields, then [`finish`].
+pub fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":");
@@ -177,7 +180,9 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push(',');
 }
 
-fn push_raw_field(out: &mut String, key: &str, value: impl std::fmt::Display) {
+/// Appends `"key":value,` with `value` written verbatim (a number or a
+/// boolean).
+pub fn push_raw_field(out: &mut String, key: &str, value: impl std::fmt::Display) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":");
@@ -185,8 +190,9 @@ fn push_raw_field(out: &mut String, key: &str, value: impl std::fmt::Display) {
     out.push(',');
 }
 
-fn push_bits_field(out: &mut String, key: &str, value: f64) {
-    // Exact bit pattern first, approximate decimal for human readers.
+/// Appends an `f64` bit-exactly: its bit pattern as 16 hex digits under
+/// `key`, and an approximate decimal under `key_dec` for human readers.
+pub fn push_bits_field(out: &mut String, key: &str, value: f64) {
     push_str_field(out, key, &format!("{:016x}", value.to_bits()));
     push_raw_field(out, &format!("{key}_dec"), format!("{value:.6}"));
 }
@@ -258,7 +264,8 @@ pub fn encode_session(key: &crate::StoreKey, r: &SessionRecord) -> String {
     finish(out)
 }
 
-fn finish(mut out: String) -> String {
+/// Closes a flat JSON object built with the `push_*_field` writers.
+pub fn finish(mut out: String) -> String {
     if out.ends_with(',') {
         out.pop();
     }

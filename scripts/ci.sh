@@ -24,6 +24,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo build --release --offline --locked --manifest-path crates/bench/src/bin/locus-benchmark/Cargo.toml
 cargo test -q --offline --locked --manifest-path crates/bench/src/bin/locus-benchmark/Cargo.toml
 
+# Run each benchmark workload for one second with a fixed seed. A run
+# exits nonzero when an operation fails or an output check does not
+# hold, so a driver change that breaks what the workloads produce fails
+# here, not only in a full benchmark run. Runs write under the ignored
+# .bench_run/ directory.
+for workload in fig7-dgemm corpus-sweep warm-replay service; do
+    ./crates/bench/src/bin/locus-benchmark/target/release/locus-benchmark \
+        --workload "$workload" --seed 1 --seconds 1 > /dev/null
+done
+
 # Engine bench smoke in check mode: refuses to pass unless every kernel
 # is bit-identical across the tree interpreter, the register VM *and*
 # the batched register path, the register VM clears its speedup floors

@@ -422,6 +422,135 @@ fn report_counters_sum_to_proposed_points() {
             );
         }
     }
+
+    // A chain of sessions over one shared cache: each report accounts
+    // for its own proposals only, not for what earlier sessions left in
+    // the cache's counters.
+    let shared = locus::system::MemoCache::new();
+    for seed in [3, 4, 5] {
+        let (_, report) = tune_parallel(
+            &system,
+            &mut RandomSearch::new(seed),
+            TuneRequest {
+                cache: Some(&shared),
+                ..TuneRequest::new(24, 2)
+            },
+        );
+        assert_eq!(
+            report.accounted(),
+            report.proposed,
+            "shared cache, seed {seed}: memo {} + store {} + fresh {} + pruned {} + failed {} \
+             != proposed {}",
+            report.memo_hits(),
+            report.store_hits(),
+            report.evaluations(),
+            report.pruned_illegal,
+            report.build_failed,
+            report.proposed
+        );
+    }
+}
+
+/// The exact accounting of three fixed sessions: every `MemoStats` field
+/// and every `TuneReport` counter. Sums and orderings alone would let a
+/// hit move between the point and variant levels, or between session
+/// and store origin, unnoticed.
+#[test]
+fn session_accounting_is_pinned() {
+    use locus::search::MctsTuner;
+    use locus::search::StopReason;
+    use locus::store::TuningStore;
+    use locus::system::{MemoCache, MemoStats};
+
+    let system = tiny_system(1);
+    let request = |cache| TuneRequest {
+        cache,
+        ..TuneRequest::new(24, 2)
+    };
+
+    // A fresh cache.
+    let (_, fresh) = tune_parallel(&system, &mut RandomSearch::new(3), request(None));
+    let want_fresh = TuneReport {
+        memo: MemoStats {
+            point_hits: 0,
+            variant_hits: 4,
+            store_hits: 0,
+            misses: 22,
+            unique_points: 68,
+            unique_variants: 64,
+        },
+        build_failed: 42,
+        proposed: 68,
+        builds: 64,
+        stop: StopReason::Budget,
+        ..TuneReport::default()
+    };
+    assert_eq!(fresh, want_fresh, "fresh cache");
+
+    // The second of two sessions over one shared cache.
+    let shared = MemoCache::new();
+    let (_, first) = tune_parallel(&system, &mut RandomSearch::new(3), request(Some(&shared)));
+    assert_eq!(first, want_fresh, "first session over a shared cache");
+    let (_, second) = tune_parallel(&system, &mut RandomSearch::new(4), request(Some(&shared)));
+    let want_second = TuneReport {
+        memo: MemoStats {
+            point_hits: 1,
+            variant_hits: 23,
+            store_hits: 0,
+            misses: 14,
+            unique_points: 61,
+            unique_variants: 38,
+        },
+        build_failed: 24,
+        proposed: 62,
+        builds: 38,
+        stop: StopReason::Budget,
+        ..TuneReport::default()
+    };
+    assert_eq!(second, want_second, "second session over a shared cache");
+
+    // A warm store session: a pruning-aware module over a store a
+    // random session filled.
+    let path = std::env::temp_dir().join(format!("locus-{}-pinned.jsonl", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let mut store = TuningStore::open(&path).unwrap();
+    tune_parallel(
+        &system,
+        &mut RandomSearch::new(3),
+        TuneRequest {
+            store: Some(StoreHandle::Single(&mut store)),
+            ..TuneRequest::new(24, 2)
+        },
+    );
+    let (_, warm) = tune_parallel(
+        &system,
+        &mut MctsTuner::new(5),
+        TuneRequest {
+            store: Some(StoreHandle::Single(&mut store)),
+            ..TuneRequest::new(32, 2)
+        },
+    );
+    std::fs::remove_file(&path).ok();
+    let want_warm = TuneReport {
+        memo: MemoStats {
+            point_hits: 0,
+            variant_hits: 5,
+            store_hits: 11,
+            misses: 16,
+            unique_points: 96,
+            unique_variants: 80,
+        },
+        rehydrated: 64,
+        seeded: 8,
+        appended: 16,
+        invalidated: 0,
+        pruned_illegal: 0,
+        build_failed: 0,
+        proposed: 32,
+        builds: 55,
+        stop: StopReason::Budget,
+    };
+    assert_eq!(warm, want_warm, "warm store session");
 }
 
 /// Tracing is observation-only: a run with an enabled tracer returns a
